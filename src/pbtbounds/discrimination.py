@@ -241,9 +241,9 @@ def ad_discrimination_sweep(
             raise ValueError(f"p + dp = {p1} exceeds 1")
         block_lower, block_upper = block_bounds_ad(p0, p1, n)
         row = {"p": p, "block_lower": block_lower, "block_upper": block_upper}
-        for M in M_grid:
-            row[f"lb_M{M}"] = _ad_lower_at_m(p0, p1, n, M)
         values = {M: _ad_lower_at_m(p0, p1, n, M) for M in opt_grid}
+        for M in M_grid:
+            row[f"lb_M{M}"] = values[M]
         argmax = max(values, key=values.get)
         row["lb_optimized"] = values[argmax]
         row["argmax_M"] = argmax

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: headers, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ HEADERS = {
     "metrology": "p,qfi,step_sensitivity,qfi_bound,variance_floor,step_ok",
     "keyrate": "e_r,m_tilde,K_at_m_tilde,argmin_M,K_min,finite_R,finite_valid",
 }
+
+DATA_DIR = Path(__file__).parent / "data"
 
 # trimmed arguments so the whole matrix stays fast
 FAST_ARGS = {
@@ -121,6 +124,22 @@ class TestDeterminism:
         code2, out2 = _run(FAST_ARGS[command], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestGoldenTables:
+    """Default-precision tables pinned byte for byte; a kernel change must reproduce them."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["xi-table", "--m-max", "64"], "xi_table_m64.csv"),
+            (["ad-sweep"], "ad_sweep_default.csv"),
+        ],
+    )
+    def test_matches_committed_table(self, argv, name, capsys):
+        code, out = _run(argv, capsys)
+        assert code == 0
+        assert out.encode() == (DATA_DIR / name).read_bytes()
 
 
 class TestRunConfig:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbtbounds import pbt
 from pbtbounds.channels import amplitude_damping, choi, depolarizing
 from pbtbounds.pbt import (
     PbtQuantities,
@@ -33,26 +34,38 @@ XI_REFERENCE = {
 
 
 def xi_mpmath(M):
-    """High-precision reimplementation with exact binomials (test oracle)."""
-    with mp.workdps(50):
-        total = mp.mpf(M + 2) / (3 * mp.mpf(2) ** (M - 1))
-        s = mp.mpf(1) / 2 if M % 2 == 0 else mp.mpf(0)
-        while s <= mp.mpf(M - 1) / 2 + mp.mpf("1e-9"):
-            k = int(mp.nint(mp.mpf(M - 1) / 2 - s))
-            gap = mp.mpf(M + 2) ** 2 - (2 * s + 1) ** 2
-            term = s * (s + 1) / (3 * mp.mpf(2) ** (M - 4)) * mp.binomial(M, k)
-            term *= ((M + 2) - mp.sqrt(gap)) / gap
+    """xi_M at 40 digits, summed outward from the central binomial (test oracle).
+
+    Terms follow from C(M, k-1) = C(M, k) k / (M-k+1), an exact ratio
+    recurrence, and the sum stops once a term falls below 1e-30 of the total,
+    so M = 1e5 needs about 6 sqrt(M) terms instead of M.
+    """
+    with mp.workdps(40):
+        two_s = 1 if M % 2 == 0 else 0  # 2s for the smallest spin
+        k = (M - 1 - two_s) // 2
+        binom = mp.binomial(M, k) / mp.mpf(2) ** (M - 4)
+        total = mp.mpf(M + 2) / 3 / mp.mpf(2) ** (M - 1)
+        while k >= 0:
+            s = mp.mpf(two_s) / 2
+            g = (M + 2) ** 2 - (two_s + 1) ** 2
+            term = s * (s + 1) / 3 * binom * (two_s + 1) ** 2 / (g * ((M + 2) + mp.sqrt(g)))
             total += term
-            s += 1
+            if two_s > 2 and term < mp.mpf("1e-30") * total:
+                break
+            binom = binom * k / (M - k + 1)
+            k -= 1
+            two_s += 2
         return float(total)
 
 
 def fe_mpmath(M):
+    """Exact binomial sum for f_e at 50 digits, every k from 0 to M."""
     with mp.workdps(50):
-        total = mp.mpf(0)
+        total, binom = mp.mpf(0), mp.mpf(1)
         for k in range(M + 1):
             t = (M - 2 * k - 1) / mp.sqrt(k + 1) + (M - 2 * k + 1) / mp.sqrt(M - k + 1)
-            total += t * t * mp.binomial(M, k)
+            total += t * t * binom
+            binom = binom * (M - k) / (k + 1)
         return float(total / mp.mpf(2) ** (M + 3))
 
 
@@ -67,10 +80,33 @@ class TestXi:
         with pytest.raises(ValueError):
             xi(2.5)
 
+    def test_rejects_invalid_ports_after_valid_calls(self):
+        # the memo must neither cache a failed check nor let an equal float hit the cache
+        xi(2)
+        xi(3)
+        for bad in (1, 2.5, 2.0):
+            with pytest.raises(ValueError):
+                xi(bad)
+            with pytest.raises(ValueError):
+                entanglement_fidelity_qubit(bad)
+
+    def test_numpy_integer_ports_share_the_memo(self):
+        for M in (2, 51, 4097):
+            assert xi(np.int64(M)) == xi(M)
+            assert entanglement_fidelity_qubit(np.int64(M)) == entanglement_fidelity_qubit(M)
+
+    def test_values_survive_cache_clear(self):
+        Ms = (2, 7, 64, 4096, 4097, 100_000)
+        before = [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms]
+        pbt._xi_sum.cache_clear()
+        pbt._fidelity_sum.cache_clear()
+        assert [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms] == before
+
     def test_strictly_decreasing_across_binomial_switch(self):
-        # the exact-integer -> log-gamma switch sits at M = 50
-        values = [xi(M) for M in range(2, 81)]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        # the exactly rounded central-binomial anchor gives way to Stirling above M = 4096
+        for lo, hi in ((2, 80), (4000, 4200)):
+            values = [xi(M) for M in range(lo, hi + 1)]
+            assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_inverse_port_scaling(self):
         for M in range(10, 61):
@@ -79,6 +115,16 @@ class TestXi:
     def test_high_precision_cross_check_large_M(self):
         for M in (49, 50, 51, 60, 80):
             assert xi(M) == pytest.approx(xi_mpmath(M), abs=1e-12)
+
+    @pytest.mark.parametrize("M", [*range(2, 65), 1000, 4096, 4097, 5000, 100_000])
+    def test_relative_error_vs_mpmath(self, M):
+        ref = xi_mpmath(M)
+        assert abs(xi(M) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("M", [1000, 10_000, 100_000, 1_000_000])
+    def test_large_port_tail(self, M):
+        # M xi_M = 1 - 3/(4M) + (15/8)/M^2 + O(M^-3)
+        assert abs(M * xi(M) - (1 - 3 / (4 * M))) <= 3 / M**2
 
 
 class TestEntanglementFidelity:
@@ -96,6 +142,11 @@ class TestEntanglementFidelity:
     def test_high_precision_cross_check(self):
         for M in (30, 50, 51, 70):
             assert entanglement_fidelity_qubit(M) == pytest.approx(fe_mpmath(M), abs=1e-12)
+
+    @pytest.mark.parametrize("M", [*range(2, 71), 1000, 3000])
+    def test_relative_error_vs_mpmath(self, M):
+        ref = fe_mpmath(M)
+        assert abs(entanglement_fidelity_qubit(M) - ref) <= 1e-14 * ref
 
     def test_identity_with_xi(self):
         for M in range(2, 31):
