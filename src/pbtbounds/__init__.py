@@ -3,12 +3,10 @@ teleportation simulation, with application bounds for optical resolution,
 quantum illumination, metrology, and secret-key rates."""
 
 from .applications import (
-    IlluminationParams,
     KeyRateBound,
     KeyRateParams,
     MetrologyBound,
     QfiEstimate,
-    ResolutionParams,
     binary_entropy,
     illumination_bound,
     illumination_chois,
@@ -39,7 +37,6 @@ from .discrimination import (
     ad_discrimination_sweep,
     ad_fidelity,
     block_bounds_ad,
-    block_upper_fidelity,
     bound_B,
     bound_B_analytic_M,
     bound_B_near_identity,
@@ -48,14 +45,10 @@ from .discrimination import (
     d_upper_pinsker,
     d_upper_subadd,
     default_m_grid,
-    lower_bound_tightened,
 )
 from .linalg import (
     DensityMatrix,
-    bures_distance,
-    eig_hermitian,
     fidelity,
-    kron,
     partial_trace,
     psd_sqrt,
     relative_entropy,
@@ -63,15 +56,14 @@ from .linalg import (
     trace_norm,
 )
 from .pbt import (
-    PbtQuantities,
     delta_ad,
     delta_exact_qubit,
     delta_upper,
     diamond_via_choi_scalar_check,
     entanglement_fidelity_qubit,
     pbt_choi_qubit,
-    pbt_quantities,
     simulate_channel_choi,
+    simulation_error,
     xi,
 )
 from .pbt_oracle import PbtEnsemble, build_ensemble, oracle_channel_choi, oracle_xi

@@ -12,38 +12,18 @@ from math import ceil, exp, inf, isfinite, log2, sqrt
 
 import numpy as np
 
-from .discrimination import BoundReport, _report
-from .linalg import TOL_NUM, DensityMatrix, fidelity
+from .discrimination import BoundReport, _report, bound_B_near_identity
+from .linalg import DensityMatrix, fidelity
 
 
 # ---------------------------------------------------------------------------
 # single-photon optical resolution
 
-@dataclass(frozen=True)
-class ResolutionParams:
-    """Loss eta, separation s (Rayleigh units), probe count n.
-
-    delta_overlap is the Gaussian point-spread overlap exp(-s^2/8); it may be
-    supplied explicitly but must then match s.
-    """
-
-    eta: float
-    s: float
-    n: int
-    delta_overlap: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"loss parameter {self.eta} outside (0, 1]")
-        if self.s < 0.0:
-            raise ValueError(f"separation {self.s} must be nonnegative")
-        if self.n < 1:
-            raise ValueError(f"probe count {self.n} must be >= 1")
-        delta = exp(-self.s**2 / 8.0)
-        if self.delta_overlap is None:
-            object.__setattr__(self, "delta_overlap", delta)
-        elif abs(self.delta_overlap - delta) > TOL_NUM:
-            raise ValueError(f"overlap {self.delta_overlap} inconsistent with s={self.s}")
+def _check_resolution(eta: float, s: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"loss parameter {eta} outside (0, 1]")
+    if s < 0.0:
+        raise ValueError(f"separation {s} must be nonnegative")
 
 
 def resolution_chois(eta: float, s: float) -> tuple[DensityMatrix, DensityMatrix]:
@@ -53,10 +33,7 @@ def resolution_chois(eta: float, s: float) -> tuple[DensityMatrix, DensityMatrix
     where 1+/1- are the symmetric/antisymmetric single-photon modes. Each
     state mixes the surviving branch |Psi+-> with the photon-loss branch.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"loss parameter {eta} outside (0, 1]")
-    if s < 0.0:
-        raise ValueError(f"separation {s} must be nonnegative")
+    _check_resolution(eta, s)
     delta = exp(-s * s / 8.0)
     eta_p = (1.0 + delta) * eta / 2.0
     eta_m = (1.0 - delta) * eta / 2.0
@@ -77,37 +54,32 @@ def resolution_chois(eta: float, s: float) -> tuple[DensityMatrix, DensityMatrix
 
 def resolution_fidelity(eta: float, s: float) -> float:
     """Closed-form Choi fidelity 1 - eta (1 - exp(-s^2/8)) / 2."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"loss parameter {eta} outside (0, 1]")
-    if s < 0.0:
-        raise ValueError(f"separation {s} must be nonnegative")
+    _check_resolution(eta, s)
     return 1.0 - eta * (1.0 - exp(-s * s / 8.0)) / 2.0
 
 
 def resolution_bound(n: int, eta: float, s: float) -> BoundReport:
     """Adaptive error lower bound exp(-2 n s sqrt(eta)) / 4 (small-s form).
 
-    params carry the unapproximated near-identity values at the exact
-    infidelity eps = eta (1 - exp(-s^2/8)) / 2: the exponential surrogate
+    params carry the unapproximated near-identity values, bound_B_near_identity
+    for the qubit reference at the exact infidelity
+    eps = eta (1 - exp(-s^2/8)) / 2: the exponential surrogate
     exp(-8 n sqrt(eps)) / 4 ('exact_value', always >= the small-s form) and
     the linear form, plus a regime flag for eps_small = eta s^2/16 <= 0.01.
     """
     if n < 1:
         raise ValueError(f"probe count {n} must be >= 1")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"loss parameter {eta} outside (0, 1]")
-    if s < 0.0:
-        raise ValueError(f"separation {s} must be nonnegative")
+    _check_resolution(eta, s)
     raw = exp(-2.0 * n * s * sqrt(eta)) / 4.0
     eps = eta * (1.0 - exp(-s * s / 8.0)) / 2.0
-    x = n * sqrt(4.0 * eps)  # 2d(d-1) = 4 for the qubit reference
+    near = bound_B_near_identity(n, 2, eps)
     params = {
         "n": n,
         "eta": eta,
         "s": s,
         "epsilon": eps,
-        "exact_value": exp(-4.0 * x) / 4.0,
-        "linear_value": max(0.25 - x, 0.0),
+        "exact_value": near.params["surrogate"],
+        "linear_value": near.value,
         "regime_ok": eta * s * s / 16.0 <= 0.01,
     }
     return _report("resolution_bound", raw, params)
@@ -116,28 +88,13 @@ def resolution_bound(n: int, eta: float, s: float) -> BoundReport:
 # ---------------------------------------------------------------------------
 # discrete-variable quantum illumination
 
-@dataclass(frozen=True)
-class IlluminationParams:
-    """Signal/idler mode count d, target reflectivity eta, thermal photons b."""
-
-    d: int
-    eta: float
-    b: float
-    n: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"mode count {self.d} must be >= 1")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"reflectivity {self.eta} outside [0, 1]")
-        if self.b < 0.0 or self.d * self.b >= 1.0:
-            raise ValueError(f"thermal occupation b={self.b} needs 0 <= d*b < 1")
-        if self.n < 1:
-            raise ValueError(f"probe count {self.n} must be >= 1")
-
-
 def _check_illumination(d: int, eta: float, b: float) -> None:
-    IlluminationParams(d, eta, b, 1)
+    if d < 1:
+        raise ValueError(f"mode count {d} must be >= 1")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"reflectivity {eta} outside [0, 1]")
+    if b < 0.0 or d * b >= 1.0:
+        raise ValueError(f"thermal occupation b={b} needs 0 <= d*b < 1")
 
 
 def illumination_chois(d: int, eta: float, b: float) -> tuple[DensityMatrix, DensityMatrix]:

@@ -4,7 +4,9 @@ Subcommands emit CSV (default) or schema-versioned JSON. All quantities are
 closed forms or eigensolves, so output is deterministic; regime violations
 surface as warning columns rather than refusals.
 
-Exit codes: 0 success, 1 validation failure, 2 oracle mismatch, 3 I/O failure.
+Exit codes: 0 success, 1 validation failure (argument parse errors included;
+argparse's usage message still goes to stderr), 2 oracle mismatch, 3 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def cmd_keyrate(d: int, e_r_list: list[float], n: int, epsilon: float, measure: 
         mt = apps.m_tilde(d, e_r)
         argmin, k_min = apps.key_rate_minimize_m(d, e_r)
         params = apps.KeyRateParams(d=d, e_r=e_r, measure=measure, n=n, epsilon=epsilon, c=c)
-        delta = pbt.delta_exact_qubit(argmin) if d == 2 else pbt.delta_upper(argmin, d)
+        delta, _ = pbt.simulation_error(argmin, d)
         finite = apps.key_rate_bound_finite(params, argmin, delta)
         rows.append(
             [e_r, mt, apps.key_rate_bound_asymptotic(d, e_r, mt), argmin, k_min,
@@ -282,7 +284,10 @@ def _resolve_out(path: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a parse error, 0 after --help
+        return 1 if exc.code else 0
     reserved = {"out", "format", "precision", "command"}
     params = {k: v for k, v in vars(args).items() if k not in reserved}
     try:

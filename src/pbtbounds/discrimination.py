@@ -9,9 +9,9 @@ upper bound on the block trace distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, inf, isfinite, log, sqrt
+from math import exp, isfinite, log, sqrt
 
-from .pbt import delta_ad, delta_exact_qubit, delta_upper
+from .pbt import delta_ad, delta_upper, simulation_error
 
 # ln sqrt(2): converts relative entropy in bits to the Pinsker radicand.
 _LN_SQRT2 = 0.5 * log(2.0)
@@ -31,9 +31,18 @@ class BoundReport:
     valid: bool = True
 
 
+def _clamp(raw: float) -> float:
+    return min(max(raw, 0.0), 0.5)
+
+
 def _report(name: str, raw: float, params: dict) -> BoundReport:
     params = dict(params, raw=raw)
-    return BoundReport(name, min(max(raw, 0.0), 0.5), params, valid=raw > 0.0)
+    return BoundReport(name, _clamp(raw), params, valid=raw > 0.0)
+
+
+def _raw_bound(n: int, delta: float, d_estimate: float) -> float:
+    """(1 - n*delta - D)/2 before clamping; inputs are already validated."""
+    return (1.0 - n * delta - d_estimate) / 2.0
 
 
 def _pow(F: float, k: float) -> float:
@@ -79,13 +88,18 @@ def d_upper_pinsker(s_min: float, n: int, M: int) -> float:
 
 
 def bound_B(n: int, M: int, delta: float, d_estimate: float) -> BoundReport:
-    """Universal lower bound (1 - n*delta - D)/2 on the adaptive error."""
+    """Universal lower bound (1 - n*delta - D)/2 on the adaptive error.
+
+    delta may be the universal simulation error delta_M or, for a fixed
+    channel pair, the average delta_bar of the two per-channel diamond errors;
+    delta_bar <= delta_M, so the pair bound is at least as strong.
+    """
     _check_counts(n, M)
     if not 0.0 <= delta <= 2.0:
         raise ValueError(f"simulation error {delta} outside [0, 2]")
     if d_estimate < 0.0:
         raise ValueError(f"distance estimate {d_estimate} must be nonnegative")
-    raw = (1.0 - n * delta - d_estimate) / 2.0
+    raw = _raw_bound(n, delta, d_estimate)
     return _report("bound_B", raw, {"n": n, "M": M, "delta": delta, "d_estimate": d_estimate})
 
 
@@ -124,8 +138,9 @@ def bound_B_optimized(
 ) -> BoundReport:
     """bound_B maximized over a port-count grid.
 
-    Uses the exact qubit simulation error for d=2 and the 2d(d-1)/M bound
-    otherwise; the winning M and estimator are recorded in params.
+    delta comes from pbt.simulation_error (exact for d=2, the capped
+    2d(d-1)/M bound otherwise); the winning M and estimator and the delta
+    provenance are recorded in params.
     """
     if M_grid is None:
         M_grid = default_m_grid(n, d)
@@ -133,25 +148,27 @@ def bound_B_optimized(
         raise ValueError("port-count grid is empty")
     best = None
     for M in M_grid:
-        delta = delta_exact_qubit(M) if d == 2 else delta_upper(M, d)
-        delta = min(delta, 2.0)
+        delta, provenance = simulation_error(M, d)
         d_est, estimator = _d_estimate_min(n, M, F, choi_dist, s_min)
-        raw = (1.0 - n * delta - d_est) / 2.0
+        raw = _raw_bound(n, delta, d_est)
         if best is None or raw > best[0]:
-            best = (raw, M, estimator, delta, d_est)
-    raw, M, estimator, delta, d_est = best
-    params = {"n": n, "d": d, "M": M, "estimator": estimator, "delta": delta, "d_estimate": d_est}
+            best = (raw, M, estimator, delta, provenance, d_est)
+    raw, M, estimator, delta, provenance, d_est = best
+    params = {
+        "n": n, "d": d, "M": M, "estimator": estimator, "delta": delta,
+        "delta_provenance": provenance, "d_estimate": d_est,
+    }
     return _report("bound_B_optimized", raw, params)
 
 
 def bound_B_analytic_M(n: int, d: int, F: float) -> BoundReport:
-    """Closed-form bound at the port choice M = 4d(d-1)n."""
-    _check_fidelity(F)
+    """bound_B at the port choice M = 4d(d-1)n with the generic delta and the
+    Fuchs estimator; there n*delta = 1/2, so it equals (1 - 2D)/4."""
     _check_counts(n, 1)
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
-    raw = (1.0 - 2.0 * sqrt(max(1.0 - _pow(F, 8.0 * d * (d - 1) * n * n), 0.0))) / 4.0
-    return _report("bound_B_analytic_M", raw, {"n": n, "d": d, "F": F, "M": 4 * d * (d - 1) * n})
+    M = 4 * d * (d - 1) * n
+    return bound_B(n, M, delta_upper(M, d), d_upper_fuchs(F, n, M))
 
 
 def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
@@ -181,43 +198,16 @@ def ad_fidelity(p0: float, p1: float) -> float:
     return (1.0 + sqrt((1.0 - p0) * (1.0 - p1)) + sqrt(p0 * p1)) / 2.0
 
 
-def block_upper_fidelity(F: float, n: int) -> float:
-    """Achievable block-protocol error F^n / 2."""
-    _check_fidelity(F)
-    _check_counts(n, 1)
-    return _pow(F, float(n)) / 2.0
-
-
 def block_bounds_ad(p0: float, p1: float, n: int) -> tuple[float, float]:
     """Optimal block-protocol error window for an amplitude damping pair."""
     _check_counts(n, 1)
-    F = ad_fidelity(p0, p1)
+    return _block_window(ad_fidelity(p0, p1), n)
+
+
+def _block_window(F: float, n: int) -> tuple[float, float]:
     lower = (1.0 - sqrt(max(1.0 - _pow(F, 2.0 * n), 0.0))) / 2.0
     upper = _pow(F, float(n)) / 2.0
     return lower, upper
-
-
-def lower_bound_tightened(n: int, M: int, delta_bar: float, d_estimate: float) -> BoundReport:
-    """bound_B with the channel-pair average simulation error.
-
-    delta_bar averages the two per-channel diamond errors, which never exceeds
-    the universal delta_M, so this bound is at least as strong.
-    """
-    _check_counts(n, M)
-    if delta_bar < 0.0:
-        raise ValueError(f"average simulation error {delta_bar} must be nonnegative")
-    if d_estimate < 0.0:
-        raise ValueError(f"distance estimate {d_estimate} must be nonnegative")
-    raw = (1.0 - n * delta_bar - d_estimate) / 2.0
-    params = {"n": n, "M": M, "delta_bar": delta_bar, "d_estimate": d_estimate}
-    return _report("lower_bound_tightened", raw, params)
-
-
-def _ad_lower_at_m(p0: float, p1: float, n: int, M: int) -> float:
-    """Clamped tightened bound for an amplitude damping pair at fixed M."""
-    delta_bar = (delta_ad(M, p0) + delta_ad(M, p1)) / 2.0
-    d_est = d_upper_fuchs(ad_fidelity(p0, p1), n, M)
-    return lower_bound_tightened(n, M, delta_bar, d_est).value
 
 
 def ad_discrimination_sweep(
@@ -225,9 +215,10 @@ def ad_discrimination_sweep(
 ) -> list[dict]:
     """Per-p bound table for discriminating damping p from p + dp.
 
-    Each row carries the block-protocol window, the tightened lower bound at
-    every fixed M in M_grid, and the bound maximized over M (grid extended so
-    the maximum always dominates the fixed columns).
+    Each row carries the block-protocol window, the lower bound at every
+    fixed M in M_grid with the pair-average simulation error delta_bar
+    (see bound_B), and the bound maximized over M (grid extended so the
+    maximum always dominates the fixed columns).
     """
     if not p_grid or not M_grid:
         raise ValueError("parameter grids must be nonempty")
@@ -239,9 +230,13 @@ def ad_discrimination_sweep(
         p0, p1 = p, p + dp
         if p1 > 1.0:
             raise ValueError(f"p + dp = {p1} exceeds 1")
-        block_lower, block_upper = block_bounds_ad(p0, p1, n)
+        F = ad_fidelity(p0, p1)
+        block_lower, block_upper = _block_window(F, n)
         row = {"p": p, "block_lower": block_lower, "block_upper": block_upper}
-        values = {M: _ad_lower_at_m(p0, p1, n, M) for M in opt_grid}
+        values = {}
+        for M in opt_grid:
+            delta_bar = (delta_ad(M, p0) + delta_ad(M, p1)) / 2.0
+            values[M] = _clamp(_raw_bound(n, delta_bar, d_upper_fuchs(F, n, M)))
         for M in M_grid:
             row[f"lb_M{M}"] = values[M]
         argmax = max(values, key=values.get)

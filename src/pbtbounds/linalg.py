@@ -58,24 +58,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def eig_hermitian(H) -> tuple[Array, Array]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues descending, eigenvectors as columns in matching order).
-    """
-    mat = _as_matrix(H)
-    if np.abs(mat - mat.conj().T).max() > TOL_HERM:
-        raise ValueError("eig_hermitian requires a Hermitian matrix")
-    evals, vecs = np.linalg.eigh(mat)
-    order = np.argsort(evals)[::-1]
-    return evals[order], vecs[:, order]
-
-
-def kron(A, B) -> Array:
-    """Kronecker product."""
-    return np.kron(_as_matrix(A), _as_matrix(B))
-
-
 def trace_norm(A) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     mat = _as_matrix(A)
@@ -116,11 +98,6 @@ def fidelity(rho, sigma) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     sv = np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False)
     return min(float(sv.sum()), 1.0)
-
-
-def bures_distance(rho, sigma) -> float:
-    """Bures distance d_B = sqrt(2 (1 - F))."""
-    return float(np.sqrt(max(2.0 * (1.0 - fidelity(rho, sigma)), 0.0)))
 
 
 def partial_trace(state, keep, dims=None):

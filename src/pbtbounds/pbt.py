@@ -8,14 +8,13 @@ of the simulated channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, exp, ldexp, log, pi, sqrt
 
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, apply_to_subsystem
-from .linalg import TOL_NUM, DensityMatrix, partial_trace, trace_norm
+from .linalg import TOL_NUM, Array, DensityMatrix, partial_trace, trace_norm
 
 # Up to this M the window is anchored on the exactly rounded comb(M, M//2) / 2^M;
 # above it on the Stirling series, whose first omitted term is below 1e-24 there.
@@ -113,54 +112,28 @@ def delta_upper(M: int, d: int) -> float:
     return 2.0 * d * (d - 1) / M
 
 
-@dataclass(frozen=True)
-class PbtQuantities:
-    """Simulation-error summary for one (M, d) pair.
+def simulation_error(M: int, d: int) -> tuple[float, str]:
+    """Diamond-norm simulation error delta_M of the M-port protocol and its provenance.
 
-    provenance records how delta was obtained: 'closed_form' (qubit exact),
-    'upper_bound' (the 2d(d-1)/M bound, the only handle for d > 2), or
-    'oracle' (brute-force construction).
+    'closed_form' is the exact qubit value (3/2) xi_M; for d > 2 the only
+    handle is 'upper_bound', the 2d(d-1)/M bound capped at 2, which no
+    diamond distance exceeds.
     """
-
-    M: int
-    d: int
-    xi: float | None
-    f_e: float
-    delta: float
-    provenance: str
-
-    def __post_init__(self):
-        _check_ports(self.M)
-        if self.d < 2:
-            raise ValueError(f"dimension {self.d} must be at least 2")
-        if self.provenance not in ("closed_form", "upper_bound", "oracle"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.d == 2 and self.xi is not None:
-            if abs(self.delta - 1.5 * self.xi) > TOL_NUM:
-                raise ValueError("qubit delta must equal (3/2) xi")
-            if abs(self.f_e + self.delta / 2.0 - 1.0) > TOL_NUM:
-                raise ValueError("qubit f_e + delta/2 must equal 1")
-        if self.delta > 2.0 * self.d * (self.d - 1) / self.M + TOL_NUM:
-            raise ValueError("delta exceeds the 2d(d-1)/M bound")
-
-
-def pbt_quantities(M: int, d: int = 2) -> PbtQuantities:
-    """Closed-form quantities for qubits; the generic bound otherwise."""
-    _check_ports(M)
     if d == 2:
-        x = xi(M)
-        return PbtQuantities(M, 2, x, entanglement_fidelity_qubit(M), 1.5 * x, "closed_form")
-    dl = delta_upper(M, d)
-    return PbtQuantities(M, d, None, 1.0 - dl / 2.0, dl, "upper_bound")
+        return delta_exact_qubit(M), "closed_form"
+    return min(delta_upper(M, d), 2.0), "upper_bound"
+
+
+def _depolarizing_choi_matrix(x: float) -> Array:
+    """(1 - x) Phi + x I/4: the Choi matrix of qubit depolarizing with probability x."""
+    mat = np.diag([0.5 - x / 4, x / 4, x / 4, 0.5 - x / 4]).astype(complex)
+    mat[0, 3] = mat[3, 0] = 0.5 - x / 2
+    return mat
 
 
 def pbt_choi_qubit(M: int) -> ChoiMatrix:
     """Choi matrix of the M-port qubit channel (isotropic form in xi_M)."""
-    _check_ports(M)
-    x = xi(M)
-    mat = np.diag([0.5 - x / 4, x / 4, x / 4, 0.5 - x / 4]).astype(complex)
-    mat[0, 3] = mat[3, 0] = 0.5 - x / 2
-    return ChoiMatrix(DensityMatrix(mat, (2, 2)))
+    return ChoiMatrix(DensityMatrix(_depolarizing_choi_matrix(xi(M)), (2, 2)))
 
 
 def simulate_channel_choi(ch: KrausChannel, M: int) -> ChoiMatrix:

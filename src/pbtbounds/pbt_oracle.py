@@ -18,6 +18,7 @@ import numpy as np
 
 from .channels import ChoiMatrix
 from .linalg import Array, DensityMatrix
+from .pbt import _depolarizing_choi_matrix  # a function of x only; xi_M is never read
 
 # Dense eigensolves on dim 2^{M+1}; M = 8 (dim 512) stays sub-second.
 M_MAX = 8
@@ -131,12 +132,6 @@ def _port_outputs(ens: PbtEnsemble) -> list[Array]:
     return taus
 
 
-def _isotropic(x: float) -> Array:
-    mat = np.diag([0.5 - x / 4, x / 4, x / 4, 0.5 - x / 4]).astype(complex)
-    mat[0, 3] = mat[3, 0] = 0.5 - x / 2
-    return mat
-
-
 def oracle_channel_choi(M: int) -> ChoiMatrix:
     """Choi matrix of the M-port channel by explicit measurement and selection.
 
@@ -146,7 +141,7 @@ def oracle_channel_choi(M: int) -> ChoiMatrix:
     ens = build_ensemble(M)
     total = sum(_port_outputs(ens))
     x_fit = 2.0 * (total[1, 1].real + total[2, 2].real)
-    if np.abs(total - _isotropic(x_fit)).max() > TOL_ISO:
+    if np.abs(total - _depolarizing_choi_matrix(x_fit)).max() > TOL_ISO:
         raise RuntimeError(f"oracle Choi for M={M} is not isotropic")
     return ChoiMatrix(DensityMatrix(total, (2, 2)))
 

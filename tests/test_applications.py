@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from pbtbounds.applications import (
-    IlluminationParams,
     KeyRateParams,
-    ResolutionParams,
     binary_entropy,
     illumination_bound,
     illumination_chois,
@@ -26,7 +24,7 @@ from pbtbounds.applications import (
     resolution_fidelity,
 )
 from pbtbounds.channels import amplitude_damping, choi, depolarizing
-from pbtbounds.linalg import eig_hermitian, fidelity
+from pbtbounds.linalg import fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +45,9 @@ class TestResolutionStates:
         eta, s = 0.3, 1.0
         delta = exp(-s * s / 8.0)
         rho_p, rho_m = resolution_chois(eta, s)
-        _, vp = eig_hermitian(rho_p)
-        _, vm = eig_hermitian(rho_m)
-        got = abs(np.vdot(vp[:, 0], vm[:, 0]))
+        _, vp = np.linalg.eigh(rho_p.matrix)
+        _, vm = np.linalg.eigh(rho_m.matrix)
+        got = abs(np.vdot(vp[:, -1], vm[:, -1]))
         assert got == pytest.approx((1 + eta * delta) / (1 + eta), abs=1e-12)
 
     def test_large_separation_limit(self):
@@ -63,13 +61,6 @@ class TestResolutionStates:
             resolution_chois(1.2, 1.0)
         with pytest.raises(ValueError):
             resolution_fidelity(0.5, -1.0)
-
-    def test_params_fill_and_check_overlap(self):
-        p = ResolutionParams(0.2, 2.0, 5)
-        assert p.delta_overlap == pytest.approx(exp(-0.5))
-        ResolutionParams(0.2, 2.0, 5, delta_overlap=exp(-0.5))
-        with pytest.raises(ValueError, match="inconsistent"):
-            ResolutionParams(0.2, 2.0, 5, delta_overlap=0.9)
 
 
 class TestResolutionBound:
@@ -113,8 +104,7 @@ class TestIlluminationStates:
         # b = 0, eta = 1: present state is the maximally entangled projector
         d = 2
         sigma, rho = illumination_chois(d, 1.0, 0.0)
-        evals, _ = eig_hermitian(rho.matrix)
-        assert evals[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(rho.matrix)[-1] == pytest.approx(1.0, abs=1e-12)
         assert illumination_fidelity_exact(d, 1.0, 0.0) == pytest.approx(
             1.0 / (d + 1), abs=1e-12
         )
@@ -191,8 +181,38 @@ class TestIlluminationBound:
             illumination_bound(1, 0, 0.1)
         with pytest.raises(ValueError):
             illumination_bound(1, 2, 1.5)
-        with pytest.raises(ValueError):
-            IlluminationParams(2, 0.1, -0.01, 1)
+
+
+# (d, eta, b) and the check that must fire: d < 1, b < 0, d*b = 1, eta < 0, eta > 1
+_BAD_ILLUMINATION = (
+    ((0, 0.01, 1e-3), "mode count"),
+    ((2, 0.01, -1e-3), "thermal"),
+    ((2, 0.01, 0.5), "thermal"),
+    ((2, -0.1, 1e-3), "reflectivity"),
+    ((2, 1.1, 1e-3), "reflectivity"),
+)
+# (eta, s): eta = 0, eta < 0, eta > 1, s < 0
+_BAD_RESOLUTION = (
+    ((0.0, 1.0), "loss"),
+    ((-0.1, 1.0), "loss"),
+    ((1.2, 1.0), "loss"),
+    ((0.5, -1.0), "separation"),
+)
+_REJECTION_CASES = (
+    [(fn, args, why) for fn in (illumination_chois, illumination_fidelity_exact,
+                                illumination_fidelity_approx) for args, why in _BAD_ILLUMINATION]
+    + [(fn, args, why) for fn in (resolution_chois, resolution_fidelity)
+       for args, why in _BAD_RESOLUTION]
+    + [(resolution_bound, (5,) + args, why) for args, why in _BAD_RESOLUTION]
+)
+
+
+@pytest.mark.parametrize(
+    "fn, args, why", _REJECTION_CASES, ids=[f"{fn.__name__}{args}" for fn, args, _ in _REJECTION_CASES]
+)
+def test_public_entry_points_reject_invalid_parameters(fn, args, why):
+    with pytest.raises(ValueError, match=why):
+        fn(*args)
 
 
 # ---------------------------------------------------------------------------

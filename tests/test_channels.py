@@ -15,7 +15,7 @@ from pbtbounds.channels import (
     depolarizing,
     maximally_entangled,
 )
-from pbtbounds.linalg import DensityMatrix, kron, partial_trace
+from pbtbounds.linalg import DensityMatrix, partial_trace
 
 
 def ad_choi_reference(p):
@@ -75,7 +75,7 @@ class TestApply:
         via_sub = apply_to_subsystem(ch, rho, 1)
         expected = np.zeros((4, 4), dtype=complex)
         for K in ch.kraus_ops:
-            big = kron(np.eye(2), K)
+            big = np.kron(np.eye(2), K)
             expected += big @ rho.matrix @ big.conj().T
         assert np.abs(via_sub.matrix - expected).max() < 1e-14
 

@@ -98,6 +98,24 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ad-sweep", "--m-list", "a"],
+            ["xi-table", "--m-max", "x"],
+            ["keyrate", "--measure", "XX"],
+            ["no-such-command"],
+            [],
+        ],
+    )
+    def test_parse_error_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_oracle_verify_passes(self, capsys):
         assert main(["oracle-verify", "--m-max", "3"]) == 0
         capsys.readouterr()
@@ -134,6 +152,10 @@ class TestGoldenTables:
         [
             (["xi-table", "--m-max", "64"], "xi_table_m64.csv"),
             (["ad-sweep"], "ad_sweep_default.csv"),
+            (["keyrate"], "keyrate_default.csv"),
+            (["keyrate", "--d", "3"], "keyrate_d3.csv"),
+            (["resolution"], "resolution_default.csv"),
+            (["illumination"], "illumination_default.csv"),
         ],
     )
     def test_matches_committed_table(self, argv, name, capsys):

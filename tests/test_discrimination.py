@@ -10,7 +10,6 @@ from pbtbounds.discrimination import (
     ad_discrimination_sweep,
     ad_fidelity,
     block_bounds_ad,
-    block_upper_fidelity,
     bound_B,
     bound_B_analytic_M,
     bound_B_near_identity,
@@ -19,9 +18,8 @@ from pbtbounds.discrimination import (
     d_upper_pinsker,
     d_upper_subadd,
     default_m_grid,
-    lower_bound_tightened,
 )
-from pbtbounds.pbt import delta_ad, delta_exact_qubit
+from pbtbounds.pbt import delta_ad, delta_exact_qubit, simulation_error
 
 
 class TestEstimators:
@@ -96,6 +94,14 @@ class TestBoundBOptimized:
         report = bound_B_optimized(2, 2, M_grid=[4], F=0.99, choi_dist=1e-6)
         assert report.params["estimator"] == "subadd"
 
+    def test_delta_provenance_recorded(self):
+        for n, d, grid in ((5, 2, None), (5, 3, None), (1, 3, [4])):
+            report = bound_B_optimized(n, d, M_grid=grid, F=0.9999)
+            got = (report.params["delta"], report.params["delta_provenance"])
+            assert got == simulation_error(report.params["M"], d)
+        # the last case, 2d(d-1)/M = 3 at d = 3 and M = 4, is capped at 2
+        assert report.params["delta"] == 2.0
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             bound_B_optimized(2, 2, M_grid=[], F=0.9)
@@ -162,8 +168,9 @@ class TestBlockBounds:
         assert block_bounds_ad(0.4, 0.4, 7) == (0.5, 0.5)
 
     def test_block_upper_endpoints(self):
-        assert block_upper_fidelity(1.0, 9) == 0.5
-        assert block_upper_fidelity(0.0, 9) == 0.0
+        # the upper end is F^n / 2: 1/2 for identical channels, 2^-n / 2 at F = 1/2
+        assert block_bounds_ad(0.3, 0.3, 9)[1] == 0.5
+        assert block_bounds_ad(0.0, 1.0, 9)[1] == pytest.approx(0.5**9 / 2, rel=1e-14)
 
 
 @settings(max_examples=80, deadline=None)
@@ -192,17 +199,20 @@ def test_bound_monotone_in_delta_and_estimate(n, M, delta, d_est, bump):
 
 
 class TestTightened:
+    """bound_B with the pair-average simulation error delta_bar."""
+
     def test_reduces_to_generic_when_average_equals_delta(self):
-        generic = bound_B(4, 6, delta_exact_qubit(6), 0.2)
-        tight = lower_bound_tightened(4, 6, delta_exact_qubit(6), 0.2)
-        assert tight.value == generic.value
+        # at p = 0 (no damping) Delta_M(p) = delta_M, so the sweep's fixed-M
+        # column is bound_B with the universal simulation error
+        row = ad_discrimination_sweep([0.0], 0.0, 4, [6])[0]
+        assert row["lb_M6"] == bound_B(4, 6, delta_exact_qubit(6), 0.0).value
 
     def test_ad_average_never_hurts(self):
         for M in (3, 10, 40):
             for p0, p1 in ((0.8, 0.81), (0.5, 0.6), (0.9, 0.99)):
                 delta_bar = (delta_ad(M, p0) + delta_ad(M, p1)) / 2
                 assert delta_bar <= delta_exact_qubit(M) + 1e-12
-                tight = lower_bound_tightened(20, M, delta_bar, 0.1)
+                tight = bound_B(20, M, delta_bar, 0.1)
                 generic = bound_B(20, M, delta_exact_qubit(M), 0.1)
                 assert tight.value >= generic.value - 1e-12
 
@@ -210,7 +220,7 @@ class TestTightened:
         # F = 1 kills the estimator term, leaving (1 - n Delta_M(p))/2
         p, n, M = 0.6, 3, 12
         d_est = d_upper_fuchs(ad_fidelity(p, p), n, M)
-        report = lower_bound_tightened(n, M, delta_ad(M, p), d_est)
+        report = bound_B(n, M, delta_ad(M, p), d_est)
         assert report.value == pytest.approx((1 - n * delta_ad(M, p)) / 2, abs=1e-13)
 
 

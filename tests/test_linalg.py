@@ -8,10 +8,7 @@ from conftest import density_matrices
 from pbtbounds.linalg import (
     TOL_NUM,
     DensityMatrix,
-    bures_distance,
-    eig_hermitian,
     fidelity,
-    kron,
     partial_trace,
     psd_sqrt,
     relative_entropy,
@@ -58,19 +55,6 @@ class TestDensityMatrix:
             DensityMatrix(mat, (2,))
 
 
-class TestEig:
-    def test_descending_order_and_reconstruction(self):
-        rho = np.diag([0.1, 0.6, 0.3]).astype(complex)
-        evals, vecs = eig_hermitian(rho)
-        assert np.all(np.diff(evals) <= 0)
-        rebuilt = (vecs * evals) @ vecs.conj().T
-        assert np.abs(rebuilt - rho).max() < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestMetrics:
     def test_trace_norm_known_value(self):
         assert trace_norm(np.diag([1.0, -2.0]).astype(complex)) == pytest.approx(3.0)
@@ -103,10 +87,6 @@ class TestMetrics:
         rho = np.diag([1.0, 1e-12]).astype(complex)
         root = psd_sqrt(rho)
         assert root[1, 1] == 0.0
-
-    def test_bures_consistency(self):
-        assert bures_distance(KET0, KET0) == pytest.approx(0.0, abs=1e-7)
-        assert bures_distance(KET0, KET1) == pytest.approx(np.sqrt(2.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,15 +131,15 @@ class TestPartialTrace:
     def test_product_state_factors(self):
         a = np.diag([0.25, 0.75]).astype(complex)
         b = PLUS
-        joint = DensityMatrix(kron(a, b), (2, 2))
+        joint = DensityMatrix(np.kron(a, b), (2, 2))
         assert np.abs(partial_trace(joint, [0]).matrix - a).max() < 1e-14
         assert np.abs(partial_trace(joint, [1]).matrix - b).max() < 1e-14
 
     def test_keep_order_permutes(self):
         a = np.diag([0.25, 0.75]).astype(complex)
-        joint = DensityMatrix(kron(a, PLUS), (2, 2))
+        joint = DensityMatrix(np.kron(a, PLUS), (2, 2))
         swapped = partial_trace(joint, [1, 0])
-        assert np.abs(swapped.matrix - kron(PLUS, a)).max() < 1e-14
+        assert np.abs(swapped.matrix - np.kron(PLUS, a)).max() < 1e-14
         assert swapped.dims == (2, 2)
 
     def test_raw_array_requires_dims(self):

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from pbtbounds import pbt
 from pbtbounds.channels import amplitude_damping, choi, depolarizing
 from pbtbounds.pbt import (
-    PbtQuantities,
     delta_ad,
     delta_exact_qubit,
     delta_upper,
     diamond_via_choi_scalar_check,
     entanglement_fidelity_qubit,
     pbt_choi_qubit,
-    pbt_quantities,
     simulate_channel_choi,
+    simulation_error,
     xi,
 )
 
@@ -170,27 +169,21 @@ class TestDelta:
             assert delta_exact_qubit(M) <= delta_upper(M, 2)
 
 
-class TestPbtQuantities:
-    def test_qubit_factory(self):
-        q = pbt_quantities(4)
-        assert q.provenance == "closed_form"
-        assert q.delta == pytest.approx(1.5 * q.xi)
+class TestSimulationError:
+    def test_qubit_closed_form(self):
+        for M in (2, 3, 10, 1000):
+            assert simulation_error(M, 2) == (1.5 * xi(M), "closed_form")
 
-    def test_generic_dimension_factory(self):
-        q = pbt_quantities(10, d=3)
-        assert q.provenance == "upper_bound"
-        assert q.xi is None
-        assert q.delta == pytest.approx(1.2)
+    def test_generic_dimension_upper_bound(self):
+        assert simulation_error(10, 3) == (1.2, "upper_bound")
+        # 2d(d-1)/M = 3 at M = 4 exceeds any diamond distance, so it is capped at 2
+        assert simulation_error(4, 3) == (2.0, "upper_bound")
 
-    def test_inconsistent_values_rejected(self):
-        with pytest.raises(ValueError, match="delta"):
-            PbtQuantities(4, 2, 0.4, 0.7, 0.9, "closed_form")
-        with pytest.raises(ValueError, match="provenance"):
-            PbtQuantities(4, 2, None, 0.8, 0.4, "guesswork")
-
-    def test_delta_cannot_exceed_generic_bound(self):
-        with pytest.raises(ValueError, match="bound"):
-            PbtQuantities(100, 2, None, 0.9, 0.2, "oracle")
+    def test_rejects_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            simulation_error(1, 2)
+        with pytest.raises(ValueError):
+            simulation_error(10, 1)
 
 
 class TestPbtChoi:
