@@ -252,6 +252,14 @@ def metrology_bound(n: int, qfi_choi_value: float) -> MetrologyBound:
 # ---------------------------------------------------------------------------
 # secret-key-rate upper bounds
 
+def _check_key_inputs(d: int, e_r: float) -> None:
+    """d >= 2 and 0 <= e_r <= log2 d, the cap of REE and SE on a d-dimensional Choi state."""
+    if d < 2:
+        raise ValueError(f"dimension {d} must be >= 2")
+    if not 0.0 <= e_r <= log2(d):
+        raise ValueError(f"entanglement value e_r = {e_r} outside [0, log2 d = {log2(d)}]")
+
+
 @dataclass(frozen=True)
 class KeyRateParams:
     """Channel dimension d, Choi entanglement value e_r (bits), measure, uses.
@@ -270,10 +278,7 @@ class KeyRateParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension {self.d} must be >= 2")
-        if self.e_r < 0.0:
-            raise ValueError(f"entanglement value {self.e_r} must be nonnegative")
+        _check_key_inputs(self.d, self.e_r)
         if self.measure not in ("REE", "SE"):
             raise ValueError(f"unknown entanglement measure {self.measure!r}")
         if self.n < 1:
@@ -332,10 +337,7 @@ def key_rate_bound_asymptotic(d: int, e_r: float, M: float) -> float:
     f(eps) = (1+eps) log2(1+eps) - eps log2 eps. M may be fractional so the
     analytic port choice m_tilde can be evaluated directly.
     """
-    if d < 2:
-        raise ValueError(f"dimension {d} must be >= 2")
-    if e_r < 0.0:
-        raise ValueError(f"entanglement value {e_r} must be nonnegative")
+    _check_key_inputs(d, e_r)
     if M < 2:
         raise ValueError(f"port count {M} must be >= 2")
     eps = d * (d - 1) / M
@@ -344,11 +346,10 @@ def key_rate_bound_asymptotic(d: int, e_r: float, M: float) -> float:
 
 
 def m_tilde(d: int, e_r: float) -> float:
-    """Near-optimal port count sqrt(2 d(d-1) log2(d) / e_r)."""
-    if d < 2:
-        raise ValueError(f"dimension {d} must be >= 2")
-    if e_r <= 0.0:
-        raise ValueError(f"entanglement value {e_r} must be positive")
+    """Near-optimal port count sqrt(2 d(d-1) log2(d) / e_r); >= 2 for every accepted e_r."""
+    _check_key_inputs(d, e_r)
+    if e_r == 0.0:
+        raise ValueError("entanglement value 0 has no finite port count")
     return sqrt(2.0 * d * (d - 1) * log2(d) / e_r)
 
 

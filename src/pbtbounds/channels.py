@@ -12,7 +12,7 @@ from math import sqrt
 
 import numpy as np
 
-from .linalg import TOL_NUM, Array, DensityMatrix, partial_trace
+from .linalg import TOL_NUM, Array, DensityMatrix, _partial_trace_array
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,8 @@ class ChoiMatrix:
     def __post_init__(self):
         if len(self.state.dims) != 2:
             raise ValueError("Choi state must carry dims [d_in, d_out]")
-        d_in = self.state.dims[0]
-        marginal = partial_trace(self.state, [0]).matrix
-        if np.abs(marginal - np.eye(d_in) / d_in).max() > TOL_NUM:
+        marginal = _partial_trace_array(self.state.matrix, self.state.dims, [0])
+        if np.abs(marginal - np.eye(self.d_in) / self.d_in).max() > TOL_NUM:
             raise ValueError("first marginal of Choi state is not I/d_in")
 
     @property

@@ -100,10 +100,9 @@ def cmd_oracle_verify(M_max: int) -> tuple[list[str], list[list]]:
     rows = []
     for M in range(2, M_max + 1):
         closed = pbt.xi(M)
-        oracle = pbt_oracle.oracle_xi(M)
-        residual = float(
-            np.abs(pbt_oracle.oracle_channel_choi(M).matrix - pbt.pbt_choi_qubit(M).matrix).max()
-        )
+        J = pbt_oracle.oracle_channel_choi(M).matrix
+        oracle = pbt_oracle._isotropic_fit(J)
+        residual = float(np.abs(J - pbt.pbt_choi_qubit(M).matrix).max())
         rows.append([M, closed, oracle, abs(closed - oracle), residual])
     return columns, rows
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import exp, isfinite, log, sqrt
 
-from .pbt import delta_ad, delta_upper, simulation_error
+from .pbt import _ad_factor, delta_upper, simulation_error, xi
 
 # ln sqrt(2): converts relative entropy in bits to the Pinsker radicand.
 _LN_SQRT2 = 0.5 * log(2.0)
@@ -225,6 +225,7 @@ def ad_discrimination_sweep(
     if dp < 0.0:
         raise ValueError(f"damping separation {dp} must be nonnegative")
     opt_grid = sorted(set(default_m_grid(n, 2)) | set(M_grid))
+    xis = {M: xi(M) for M in opt_grid}  # validates every port count once
     rows = []
     for p in p_grid:
         p0, p1 = p, p + dp
@@ -233,9 +234,10 @@ def ad_discrimination_sweep(
         F = ad_fidelity(p0, p1)
         block_lower, block_upper = _block_window(F, n)
         row = {"p": p, "block_lower": block_lower, "block_upper": block_upper}
+        f0, f1 = _ad_factor(p0), _ad_factor(p1)
         values = {}
-        for M in opt_grid:
-            delta_bar = (delta_ad(M, p0) + delta_ad(M, p1)) / 2.0
+        for M, x in xis.items():
+            delta_bar = (x * f0 + x * f1) / 2.0
             values[M] = _clamp(_raw_bound(n, delta_bar, d_upper_fuchs(F, n, M)))
         for M in M_grid:
             row[f"lb_M{M}"] = values[M]

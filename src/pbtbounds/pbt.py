@@ -168,9 +168,13 @@ def diamond_via_choi_scalar_check(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> flo
     return trace_norm(J)
 
 
+def _ad_factor(p: float) -> float:
+    """delta_ad(M, p) / xi_M = (1 - p)/2 + sqrt(1 - p); p is already validated."""
+    return (1.0 - p) / 2.0 + sqrt(1.0 - p)
+
+
 def delta_ad(M: int, p: float) -> float:
     """Diamond-norm error of the M-port simulation of amplitude damping."""
-    _check_ports(M)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"damping probability {p} outside [0, 1]")
-    return xi(M) * ((1.0 - p) / 2.0 + sqrt(1.0 - p))
+    return xi(M) * _ad_factor(p)

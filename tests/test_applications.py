@@ -388,3 +388,15 @@ class TestAsymptoticKeyRate:
             m_tilde(2, 0.0)
         with pytest.raises(ValueError):
             key_rate_minimize_m(2, 0.01, [])
+        # REE and squashed entanglement of a d-dimensional Choi state are <= log2 d
+        for d, e_r in ((2, 1.5), (3, 3.0), (4, 2.0 + 1e-12)):
+            with pytest.raises(ValueError, match="e_r"):
+                KeyRateParams(d, e_r)
+            with pytest.raises(ValueError, match="e_r"):
+                m_tilde(d, e_r)
+            with pytest.raises(ValueError, match="e_r"):
+                key_rate_bound_asymptotic(d, e_r, 10)
+        for d in (2, 3, 4):
+            KeyRateParams(d, log2(d))
+            assert m_tilde(d, log2(d)) == pytest.approx(sqrt(2.0 * d * (d - 1)), rel=1e-15)
+            assert m_tilde(d, log2(d)) >= 2.0

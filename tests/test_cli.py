@@ -82,6 +82,16 @@ class TestExitCodes:
         code = main(["xi-table", "--m-min", "1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        # e_r <= log2 d for REE and squashed entanglement; the error names e_r
+        assert main(["keyrate", "--d", "2", "--e-r-list", "1.5"]) == 1
+        err = capsys.readouterr().err
+        assert "e_r = 1.5" in err and "port count" not in err
+        assert main(["keyrate", "--d", "3", "--e-r-list", "3"]) == 1
+        capsys.readouterr()
+        # e_r = log2 d is accepted and gives the smallest m_tilde, sqrt(2d(d-1))
+        code, out = _run(["keyrate", "--d", "2", "--e-r-list", "1"], capsys)
+        assert code == 0
+        assert out.split("\n")[1].split(",")[1] == "2"
 
     def test_bad_precision(self, capsys):
         assert main(["--precision", "0", "xi-table"]) == 1
@@ -156,6 +166,7 @@ class TestGoldenTables:
             (["keyrate", "--d", "3"], "keyrate_d3.csv"),
             (["resolution"], "resolution_default.csv"),
             (["illumination"], "illumination_default.csv"),
+            (["metrology"], "metrology_default.csv"),
         ],
     )
     def test_matches_committed_table(self, argv, name, capsys):

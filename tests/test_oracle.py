@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from pbtbounds import cli, pbt_oracle
 from pbtbounds.pbt import pbt_choi_qubit, xi
 from pbtbounds.pbt_oracle import (
     M_MAX,
     PbtEnsemble,
     _choi_transpose_trick,
+    _isotropic_fit,
     _port_outputs,
     build_ensemble,
     oracle_channel_choi,
@@ -42,6 +44,14 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             build_ensemble(M_MAX + 1)
 
+    @pytest.mark.parametrize("M", range(2, M_MAX + 1))
+    def test_measurement_data_positive_semidefinite(self, M):
+        # construction checks only the sums; the ensemble is a fixed function
+        # of M, so positivity is pinned here once for every supported M
+        ens = build_ensemble(M)
+        for op in (*ens.sigma, *ens.povm):
+            assert np.linalg.eigvalsh(op).min() >= -1e-9
+
     def test_invariants_enforced_on_construction(self):
         ens = build_ensemble(2)
         broken = tuple(P * 0.9 for P in ens.povm)
@@ -55,6 +65,10 @@ class TestChoiExtraction:
     def test_oracle_matches_closed_form(self):
         for M in range(2, 7):
             assert oracle_xi(M) == pytest.approx(xi(M), abs=1e-10)
+
+    def test_xi_is_isotropic_fit_of_choi(self):
+        for M in range(2, 6):
+            assert oracle_xi(M) == _isotropic_fit(oracle_channel_choi(M).matrix)
 
     def test_choi_isotropy_residual(self):
         for M in range(2, 7):
@@ -76,3 +90,16 @@ class TestChoiExtraction:
 
     def test_largest_supported_port_count(self):
         assert oracle_xi(M_MAX) == pytest.approx(xi(M_MAX), abs=1e-10)
+
+
+def test_oracle_verify_builds_one_ensemble_per_port_count(monkeypatch, capsys):
+    built = []
+
+    def counting_build(M):
+        built.append(M)
+        return build_ensemble(M)
+
+    monkeypatch.setattr(pbt_oracle, "build_ensemble", counting_build)
+    assert cli.main(["oracle-verify", "--m-max", "6"]) == 0
+    capsys.readouterr()
+    assert built == [2, 3, 4, 5, 6]
