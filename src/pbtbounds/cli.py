@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,21 +28,6 @@ OUT_DIR_ENV = "PBTBOUNDS_OUT_DIR"
 JSON_SCHEMA = "pbtbounds-table/1"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: dict = field(default_factory=dict)
-    output_format: str = "csv"
-    output_path: str | None = None
-    precision: int = 12
-
-    def __post_init__(self):
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
-        if not 1 <= self.precision <= 17:
-            raise ValueError(f"precision {self.precision} outside [1, 17]")
-
-
 def _fmt(value, precision: int):
     """Round-trippable cell rendering at the requested significant digits."""
     if isinstance(value, bool):
@@ -53,17 +37,17 @@ def _fmt(value, precision: int):
     return f"{float(value):.{precision}g}"
 
 
-def _render(columns: list[str], rows: list[list], cfg: RunConfig) -> str:
-    if cfg.output_format == "csv":
+def _render(columns: list[str], rows: list[list], args: argparse.Namespace) -> str:
+    if args.format == "csv":
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(_fmt(v, cfg.precision) for v in row))
+            lines.append(",".join(_fmt(v, args.precision) for v in row))
         return "\n".join(lines) + "\n"
     payload = {
         "schema": JSON_SCHEMA,
-        "command": cfg.command,
+        "command": args.command,
         "columns": columns,
-        "rows": [[_fmt(v, cfg.precision) for v in row] for row in rows],
+        "rows": [[_fmt(v, args.precision) for v in row] for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -213,9 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xi-table", help="closed-form PBT quantities per port count")
     p.add_argument("--m-min", type=int, default=2)
     p.add_argument("--m-max", type=int, default=10)
+    p.set_defaults(table=lambda a: cmd_xi_table(a.m_min, a.m_max))
 
     p = sub.add_parser("oracle-verify", help="brute-force oracle vs closed form")
     p.add_argument("--m-max", type=int, default=6)
+    p.set_defaults(table=lambda a: cmd_oracle_verify(a.m_max))
 
     p = sub.add_parser("ad-sweep", help="amplitude damping discrimination bounds")
     p.add_argument("--p-min", type=float, default=0.8)
@@ -224,6 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dp", type=float, default=0.01)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--m-list", type=_int_list, default=[10, 100, 1000])
+    p.set_defaults(
+        table=lambda a: cmd_ad_sweep(a.p_min, a.p_max, a.steps, a.dp, a.n, a.m_list)
+    )
 
     p = sub.add_parser("resolution", help="single-photon resolution bounds")
     p.add_argument("--eta", type=float, default=0.01)
@@ -231,6 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--n", type=int, default=10)
+    p.set_defaults(table=lambda a: cmd_resolution(a.eta, a.s_min, a.s_max, a.steps, a.n))
 
     p = sub.add_parser("illumination", help="quantum illumination bounds")
     p.add_argument("--d", type=int, default=2)
@@ -239,6 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", type=float, default=1e-2)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--n", type=int, default=10)
+    p.set_defaults(
+        table=lambda a: cmd_illumination(a.d, a.b, a.eta_min, a.eta_max, a.steps, a.n)
+    )
 
     p = sub.add_parser("metrology", help="amplitude damping estimation bounds")
     p.add_argument("--p-min", type=float, default=0.2)
@@ -246,6 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=7)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--dtheta", type=float, default=1e-3)
+    p.set_defaults(table=lambda a: cmd_metrology(a.p_min, a.p_max, a.steps, a.n, a.dtheta))
 
     p = sub.add_parser("keyrate", help="secret-key-rate upper bounds")
     p.add_argument("--d", type=int, default=2)
@@ -254,26 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--measure", choices=("REE", "SE"), default="REE")
     p.add_argument("--c", type=float, default=1.0)
+    p.set_defaults(
+        table=lambda a: cmd_keyrate(a.d, a.e_r_list, a.n, a.epsilon, a.measure, a.c)
+    )
     return parser
-
-
-def _dispatch(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    p = cfg.params
-    if cfg.command == "xi-table":
-        return cmd_xi_table(p["m_min"], p["m_max"])
-    if cfg.command == "oracle-verify":
-        return cmd_oracle_verify(p["m_max"])
-    if cfg.command == "ad-sweep":
-        return cmd_ad_sweep(p["p_min"], p["p_max"], p["steps"], p["dp"], p["n"], p["m_list"])
-    if cfg.command == "resolution":
-        return cmd_resolution(p["eta"], p["s_min"], p["s_max"], p["steps"], p["n"])
-    if cfg.command == "illumination":
-        return cmd_illumination(p["d"], p["b"], p["eta_min"], p["eta_max"], p["steps"], p["n"])
-    if cfg.command == "metrology":
-        return cmd_metrology(p["p_min"], p["p_max"], p["steps"], p["n"], p["dtheta"])
-    if cfg.command == "keyrate":
-        return cmd_keyrate(p["d"], p["e_r_list"], p["n"], p["epsilon"], p["measure"], p["c"])
-    raise ValueError(f"unknown command {cfg.command!r}")
 
 
 def _resolve_out(path: str) -> str:
@@ -287,31 +265,24 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a parse error, 0 after --help
         return 1 if exc.code else 0
-    reserved = {"out", "format", "precision", "command"}
-    params = {k: v for k, v in vars(args).items() if k not in reserved}
     try:
-        cfg = RunConfig(
-            command=args.command,
-            params=params,
-            output_format=args.format,
-            output_path=args.out,
-            precision=args.precision,
-        )
-        columns, rows = _dispatch(cfg)
+        if not 1 <= args.precision <= 17:
+            raise ValueError(f"precision {args.precision} outside [1, 17]")
+        columns, rows = args.table(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _render(columns, rows, cfg)
-    if cfg.output_path:
+    text = _render(columns, rows, args)
+    if args.out:
         try:
-            with open(_resolve_out(cfg.output_path), "w", encoding="utf-8", newline="\n") as fh:
+            with open(_resolve_out(args.out), "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
     else:
         sys.stdout.write(text)
-    if cfg.command == "oracle-verify":
+    if args.command == "oracle-verify":
         diffs = [row[3] for row in rows]
         if any(diff > 1e-9 for diff in diffs):
             print("error: oracle disagrees with the closed form", file=sys.stderr)

@@ -45,13 +45,21 @@ def _raw_bound(n: int, delta: float, d_estimate: float) -> float:
     return (1.0 - n * delta - d_estimate) / 2.0
 
 
-def _pow(F: float, k: float) -> float:
-    """F**k in the log domain; exponents reach n^2 scale without underflow."""
+def _pow(F: float, k: float, log_f: float | None = None) -> float:
+    """F**k in the log domain; exponents reach n^2 scale without underflow.
+
+    A caller raising one F to many k passes log_f = log(F) to take it once.
+    """
     if F == 0.0:
         return 0.0
     if F == 1.0:
         return 1.0
-    return exp(k * log(F))
+    return exp(k * (log(F) if log_f is None else log_f))
+
+
+def _fuchs(F: float, k: float, log_f: float | None = None) -> float:
+    """sqrt(1 - F^k) for a validated F (see _pow for log_f)."""
+    return sqrt(max(1.0 - _pow(F, k, log_f), 0.0))
 
 
 def _check_fidelity(F: float) -> None:
@@ -68,7 +76,7 @@ def d_upper_fuchs(F: float, n: int, M: int) -> float:
     """Trace-distance bound sqrt(1 - F^{2nM}) on nM Choi copies."""
     _check_fidelity(F)
     _check_counts(n, M)
-    return sqrt(max(1.0 - _pow(F, 2.0 * n * M), 0.0))
+    return _fuchs(F, 2.0 * n * M)
 
 
 def d_upper_subadd(choi_dist: float, n: int, M: int) -> float:
@@ -205,7 +213,7 @@ def block_bounds_ad(p0: float, p1: float, n: int) -> tuple[float, float]:
 
 
 def _block_window(F: float, n: int) -> tuple[float, float]:
-    lower = (1.0 - sqrt(max(1.0 - _pow(F, 2.0 * n), 0.0))) / 2.0
+    lower = (1.0 - _fuchs(F, 2.0 * n)) / 2.0
     upper = _pow(F, float(n)) / 2.0
     return lower, upper
 
@@ -232,13 +240,15 @@ def ad_discrimination_sweep(
         if p1 > 1.0:
             raise ValueError(f"p + dp = {p1} exceeds 1")
         F = ad_fidelity(p0, p1)
+        _check_fidelity(F)  # once per row; n < 1 already failed xi on the grid
+        log_f = log(F) if 0.0 < F < 1.0 else None
         block_lower, block_upper = _block_window(F, n)
         row = {"p": p, "block_lower": block_lower, "block_upper": block_upper}
         f0, f1 = _ad_factor(p0), _ad_factor(p1)
         values = {}
         for M, x in xis.items():
             delta_bar = (x * f0 + x * f1) / 2.0
-            values[M] = _clamp(_raw_bound(n, delta_bar, d_upper_fuchs(F, n, M)))
+            values[M] = _clamp(_raw_bound(n, delta_bar, _fuchs(F, 2.0 * n * M, log_f)))
         for M in M_grid:
             row[f"lb_M{M}"] = values[M]
         argmax = max(values, key=values.get)

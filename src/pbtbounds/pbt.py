@@ -14,7 +14,7 @@ from math import comb, exp, ldexp, log, pi, sqrt
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, apply_to_subsystem
-from .linalg import TOL_NUM, Array, DensityMatrix, partial_trace, trace_norm
+from .linalg import TOL_NUM, Array, DensityMatrix, _partial_trace_array
 
 # Up to this M the window is anchored on the exactly rounded comb(M, M//2) / 2^M;
 # above it on the Stirling series, whose first omitted term is below 1e-24 there.
@@ -160,12 +160,12 @@ def diamond_via_choi_scalar_check(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> flo
     J = choi_a.matrix - choi_b.matrix
     evals, vecs = np.linalg.eigh(J)
     absJ = (vecs * np.abs(evals)) @ vecs.conj().T
-    marg = partial_trace(absJ, [0], dims=choi_a.state.dims)
+    marg = _partial_trace_array(absJ, choi_a.state.dims, [0])
     d_in = choi_a.d_in
     c = np.trace(marg).real / d_in
     if np.abs(marg - c * np.eye(d_in)).max() > TOL_NUM:
         return None
-    return trace_norm(J)
+    return float(np.abs(evals).sum())
 
 
 def _ad_factor(p: float) -> float:

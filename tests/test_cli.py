@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pbtbounds import pbt
-from pbtbounds.cli import JSON_SCHEMA, OUT_DIR_ENV, RunConfig, main
+from pbtbounds.cli import JSON_SCHEMA, OUT_DIR_ENV, main
 
 HEADERS = {
     "xi-table": "M,xi,f_e,delta,delta_upper,M_xi,identity_ok",
@@ -94,9 +94,11 @@ class TestExitCodes:
         assert out.split("\n")[1].split(",")[1] == "2"
 
     def test_bad_precision(self, capsys):
-        assert main(["--precision", "0", "xi-table"]) == 1
-        assert main(["--precision", "18", "xi-table"]) == 1
-        capsys.readouterr()
+        for precision in (0, 18):
+            assert main(["--precision", str(precision), "xi-table"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: precision {precision} outside [1, 17]\n"
 
     def test_metrology_step_collision(self, capsys):
         assert main(["metrology", "--p-min", "0.0", "--steps", "2"]) == 1
@@ -114,6 +116,7 @@ class TestExitCodes:
             ["ad-sweep", "--m-list", "a"],
             ["xi-table", "--m-max", "x"],
             ["keyrate", "--measure", "XX"],
+            ["--format", "yaml", "xi-table"],
             ["no-such-command"],
             [],
         ],
@@ -174,14 +177,3 @@ class TestGoldenTables:
         assert code == 0
         assert out.encode() == (DATA_DIR / name).read_bytes()
 
-
-class TestRunConfig:
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            RunConfig("xi-table", output_format="yaml")
-
-    def test_rejects_precision_out_of_range(self):
-        with pytest.raises(ValueError):
-            RunConfig("xi-table", precision=0)
-        with pytest.raises(ValueError):
-            RunConfig("xi-table", precision=18)

@@ -1,5 +1,7 @@
 """Brute-force protocol construction against the closed forms."""
 
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,54 @@ from pbtbounds.pbt import pbt_choi_qubit, xi
 from pbtbounds.pbt_oracle import (
     M_MAX,
     PbtEnsemble,
-    _choi_transpose_trick,
     _isotropic_fit,
-    _port_outputs,
     build_ensemble,
     oracle_channel_choi,
     oracle_xi,
 )
+
+# Explicit full-state route: the reference for the library's POVM partial trace.
+# It measures the resource state itself and contracts indices by hand, so a
+# fault in linalg's partial trace cannot hide in both routes.
+
+_PHI_VEC = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / sqrt(2.0)
+
+
+def _entangled_vector(M):
+    """Phi_{C,D} tensor prod_i Phi_{A_i,B_i} ordered [C, A_1..A_M, D, B_1..B_M]."""
+    n = 2 * M + 2
+    vec = np.ones(1, dtype=complex)
+    for _ in range(M + 1):
+        vec = np.kron(vec, _PHI_VEC)
+    # kron order is [C, D, A_1, B_1, ..., A_M, B_M]; permute into place
+    cur = [0, M + 1]
+    for i in range(1, M + 1):
+        cur += [i, M + 1 + i]
+    perm = [cur.index(lbl) for lbl in range(n)]
+    return vec.reshape((2,) * n).transpose(perm).reshape(2**n)
+
+
+def _port_outputs(ens):
+    """Unnormalized Choi contribution of each outcome on (D, B_i).
+
+    Measures [C, A] of the full pure state and keeps the reference D together
+    with the selected port B_i, relabeled to the output slot.
+    """
+    M = ens.M
+    n = 2 * M + 2
+    psi = _entangled_vector(M)
+    dim_ca = 2 ** (M + 1)
+    psi_mat = psi.reshape(dim_ca, dim_ca)  # rows (C,A); cols (D,B)
+    psi_t = psi.reshape((2,) * n)
+    taus = []
+    for i, P in enumerate(ens.povm, start=1):
+        measured = (P @ psi_mat).reshape((2,) * n)
+        keep = [M + 1, M + 1 + i]  # D, B_i
+        rest = [q for q in range(n) if q not in keep]
+        lhs = measured.transpose(keep + rest).reshape(4, -1)
+        rhs = psi_t.transpose(keep + rest).reshape(4, -1)
+        taus.append(lhs @ rhs.conj().T)
+    return taus
 
 
 class TestEnsemble:
@@ -81,12 +124,12 @@ class TestChoiExtraction:
             worst = max(np.abs(taus[0] - t).max() for t in taus[1:])
             assert worst < 1e-12
 
-    def test_explicit_route_equals_transpose_trick(self):
-        # the measurement-on-the-full-state computation and the partial
-        # transpose shortcut are independent code paths
-        for M in (2, 3):
-            explicit = sum(_port_outputs(build_ensemble(M)))
-            assert np.abs(explicit - _choi_transpose_trick(M)).max() < 1e-12
+    @pytest.mark.parametrize("M", range(2, 8))
+    def test_explicit_route_matches_library(self, M):
+        # measurement on the full resource state vs the library's partial
+        # trace of the transposed POVM: independent code paths
+        explicit = sum(_port_outputs(build_ensemble(M)))
+        assert np.abs(explicit - oracle_channel_choi(M).matrix).max() < 1e-12
 
     def test_largest_supported_port_count(self):
         assert oracle_xi(M_MAX) == pytest.approx(xi(M_MAX), abs=1e-10)
