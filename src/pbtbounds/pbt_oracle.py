@@ -2,10 +2,10 @@
 
 Builds the square-root-measurement protocol from first principles — port
 states, their sum, the POVM — with no reference to the closed-form xi_M, so it
-can serve as an independent check of that formula. The channel's Choi matrix
-is read off the POVM alone (oracle_channel_choi); the tests keep the explicit
-route, measurement of the 2^{2M+2}-amplitude resource state followed by port
-selection, as an independent reference.
+can serve as an independent check of that formula. The U x conj(U)-invariant
+resource conserves the charge w(A) - w(C), so the build runs per charge sector,
+in real arithmetic. The Choi matrix is read off the POVM alone; the tests keep
+the dense full-space build and the explicit full-state route as references.
 
 Qubit ordering: measured registers [C, A_1..A_M] (dimension 2^{M+1}); D is the
 reference purifying C and B_i the receiver half of port i.
@@ -14,7 +14,6 @@ reference purifying C and B_i the receiver half of port i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -22,31 +21,16 @@ from .channels import ChoiMatrix
 from .linalg import Array, DensityMatrix, _partial_trace_array
 from .pbt import _depolarizing_choi_matrix  # a function of x only; xi_M is never read
 
-# The cost is the ensemble build: a dense eigensolve and POVM products on dim
-# 2^{M+1}, about 0.8 s at M = 8 (dim 512) on one core. The Choi readout needs
-# only the POVM, never the 2^{2M+2}-amplitude resource state.
+# The cost is the ensemble build, per-sector eigensolves (126 dims at most at M = 8)
+# and the 2M + 1 dense 2^{M+1}-dim arrays it keeps: 30-60 ms at M = 8 on one core.
 M_MAX = 8
 # Residual allowed between the computed Choi matrix and its isotropic fit.
 TOL_ISO = 1e-9
-
-_PHI_VEC = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / sqrt(2.0)
-_PHI = np.outer(_PHI_VEC, _PHI_VEC)
 
 
 def _check_m(M: int) -> None:
     if not isinstance(M, (int, np.integer)) or not 2 <= M <= M_MAX:
         raise ValueError(f"port count {M} outside [2, {M_MAX}]")
-
-
-def _embed_two_qubit(op4: Array, p: int, q: int, n: int) -> Array:
-    """Embed a two-qubit operator onto qubit positions (p, q) of n qubits."""
-    full = np.kron(op4, np.eye(2 ** (n - 2), dtype=complex))
-    rest = [i for i in range(n) if i not in (p, q)]
-    order = [p, q] + rest  # order[slot] = qubit label currently in that slot
-    perm = [order.index(i) for i in range(n)]
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(perm + [n + j for j in perm])
-    return t.reshape(2**n, 2**n)
 
 
 @dataclass(frozen=True)
@@ -55,7 +39,8 @@ class PbtEnsemble:
 
     sigma[i-1] is the (subnormalized) state signalling port i, rho_sum their
     sum, povm the square-root measurement completed by the equal split of the
-    kernel projector. Sums are checked here; positivity, fixed by M, in the tests.
+    kernel projector: dense float64 arrays, block diagonal in the charge sectors
+    (see build_ensemble). Sums are checked here; positivity, fixed by M, in the tests.
     """
 
     M: int
@@ -74,25 +59,40 @@ class PbtEnsemble:
 
 
 def build_ensemble(M: int) -> PbtEnsemble:
-    """Square-root measurement for M ports.
+    """Square-root measurement for M ports, solved one charge sector at a time.
 
-    sigma^i = 2^{-(M-1)} Phi_{A_i C} tensor I_rest, rho = sum_i sigma^i,
-    Pi^i = rho^{-1/2} sigma^i rho^{-1/2} + (I - supp(rho))/M, with the inverse
-    square root taken on the support of rho.
+    sigma^i = 2^{-(M-1)} Phi_{A_i C} tensor I_rest is 2^{-M} on {x0, x1}^2 for each
+    pair x0 = (C=0, A_i=0, rest), x1 = (C=1, A_i=1, rest); rho = sum_i sigma^i and
+    Pi^i = rho^{-1/2} sigma^i rho^{-1/2} + (I - supp(rho))/M, the inverse square
+    root taken on the support. Pairs keep the charge w(A) - w(C) (w counts |1>s),
+    so the M + 2 sectors q = -1..M, of dimension C(M+1, q+1), are solved apart,
+    in float64 since every entry is real.
     """
     _check_m(M)
-    n = M + 1
-    dim = 2**n
-    # Phi on (A_i, C): port qubit at position i, input qubit at position 0.
-    sigmas = tuple(_embed_two_qubit(_PHI, i, 0, n) / 2 ** (M - 1) for i in range(1, M + 1))
+    dim = 2 ** (M + 1)
+    bits = (np.arange(dim)[:, None] >> np.arange(M, -1, -1)) & 1  # column k: qubit k
+    C, A = bits[:, 0], bits[:, 1:].T
+    charge = A.sum(axis=0) - C
+    # row c of pairs[i-1]: the states with C = A_i = c, column j of both rows sharing a rest
+    pairs = [np.stack([np.flatnonzero(C + a == 2 * c) for c in (0, 1)]) for a in A]
+    sigmas = tuple(np.zeros((dim, dim)) for _ in pairs)
+    for s, x in zip(sigmas, pairs):
+        s[x[:, None], x] = 2.0**-M
     rho = sum(sigmas)
-    evals, vecs = np.linalg.eigh(rho)
-    # rho has exact zero eigenvalues by symmetry; anything below 1e-10 is one.
-    on_support = evals > 1e-10
-    inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, evals, 1.0)), 0.0)
-    S = (vecs * inv_sqrt) @ vecs.conj().T
-    support = (vecs * on_support) @ vecs.conj().T
-    povm = tuple(S @ s @ S + (np.eye(dim) - support) / M for s in sigmas)
+    povm = tuple(np.zeros((dim, dim)) for _ in pairs)
+    pos = np.empty(dim, dtype=int)  # index of a basis state within its sector
+    for q in range(-1, M + 1):
+        sector = np.flatnonzero(charge == q)
+        pos[sector] = np.arange(sector.size)
+        block = np.ix_(sector, sector)
+        evals, vecs = np.linalg.eigh(rho[block])
+        live = evals > 1e-10  # rho has exact zero eigenvalues by symmetry; below 1e-10 is one
+        S = (vecs[:, live] / np.sqrt(evals[live])) @ vecs[:, live].T
+        kernel = vecs[:, ~live] @ vecs[:, ~live].T / M
+        for P, x in zip(povm, pairs):
+            # S V_i, where sigma^i's block is 2^{-M} V_i V_i^T with columns e_x0 + e_x1
+            SV = S[:, pos[x[:, charge[x[0]] == q]]].sum(axis=1)
+            P[block] = SV @ SV.T / 2**M + kernel
     return PbtEnsemble(M, sigmas, rho, povm)
 
 

@@ -1,6 +1,6 @@
 """Brute-force protocol construction against the closed forms."""
 
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -60,6 +60,44 @@ def _port_outputs(ens):
     return taus
 
 
+# Dense full-space square-root measurement: the reference for the library's
+# per-sector build. It embeds Phi with kron and a qubit transpose and solves on
+# all 2^{M+1} dims in complex arithmetic, assuming no charge symmetry.
+
+_PHI = np.outer(_PHI_VEC, _PHI_VEC)
+
+
+def _embed_two_qubit(op4, p, q, n):
+    """Embed a two-qubit operator onto qubit positions (p, q) of n qubits."""
+    full = np.kron(op4, np.eye(2 ** (n - 2), dtype=complex))
+    rest = [i for i in range(n) if i not in (p, q)]
+    order = [p, q] + rest  # order[slot] = qubit label currently in that slot
+    perm = [order.index(i) for i in range(n)]
+    t = full.reshape((2,) * (2 * n))
+    t = t.transpose(perm + [n + j for j in perm])
+    return t.reshape(2**n, 2**n)
+
+
+def _dense_ensemble(M):
+    n = M + 1
+    dim = 2**n
+    # Phi on (A_i, C): port qubit at position i, input qubit at position 0.
+    sigmas = tuple(_embed_two_qubit(_PHI, i, 0, n) / 2 ** (M - 1) for i in range(1, M + 1))
+    rho = sum(sigmas)
+    evals, vecs = np.linalg.eigh(rho)
+    on_support = evals > 1e-10
+    inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, evals, 1.0)), 0.0)
+    S = (vecs * inv_sqrt) @ vecs.conj().T
+    support = (vecs * on_support) @ vecs.conj().T
+    povm = tuple(S @ s @ S + (np.eye(dim) - support) / M for s in sigmas)
+    return PbtEnsemble(M, sigmas, rho, povm)
+
+
+def _charge(M):
+    """w(A) - w(C) of each basis state of [C, A_1..A_M], C the leading bit."""
+    return np.array([bin(x % 2**M).count("1") - x // 2**M for x in range(2 ** (M + 1))])
+
+
 class TestEnsemble:
     def test_povm_completeness(self):
         for M in (2, 3, 4):
@@ -94,6 +132,31 @@ class TestEnsemble:
         ens = build_ensemble(M)
         for op in (*ens.sigma, *ens.povm):
             assert np.linalg.eigvalsh(op).min() >= -1e-9
+
+    @pytest.mark.parametrize("M", range(2, 8))
+    def test_sector_build_matches_dense_reference(self, M):
+        ens, ref = build_ensemble(M), _dense_ensemble(M)
+        got = (*ens.sigma, ens.rho_sum, *ens.povm)
+        want = (*ref.sigma, ref.rho_sum, *ref.povm)
+        assert len(got) == len(want) == 2 * M + 1
+        assert all(op.dtype == np.float64 for op in got)
+        assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-12
+
+    @pytest.mark.parametrize("M", range(2, 7))
+    def test_dense_reference_conserves_charge(self, M):
+        # the symmetry the sector build relies on, read off the build that
+        # does not assume it
+        ref, charge = _dense_ensemble(M), _charge(M)
+        off_sector = charge[:, None] != charge[None, :]
+        assert np.all(ref.rho_sum[off_sector] == 0)
+        assert max(np.abs(P[off_sector]).max() for P in ref.povm) <= 1e-14
+        sizes = [int(np.sum(charge == q)) for q in range(-1, M + 1)]
+        assert sizes == [comb(M + 1, q + 1) for q in range(-1, M + 1)]
+        assert sum(sizes) == 2 ** (M + 1)
+        for q in range(-1, M + 1):
+            sector = np.flatnonzero(charge == q)
+            evals = np.linalg.eigvalsh(ref.rho_sum[np.ix_(sector, sector)])
+            assert int(np.sum(evals < 1e-10)) == 1
 
     def test_invariants_enforced_on_construction(self):
         ens = build_ensemble(2)
