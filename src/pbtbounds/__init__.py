@@ -30,7 +30,6 @@ from .channels import (
     apply_to_subsystem,
     choi,
     depolarizing,
-    maximally_entangled,
 )
 from .discrimination import (
     BoundReport,

@@ -8,7 +8,7 @@ factor, the channel output the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -70,12 +70,6 @@ class ChoiMatrix:
         return self.state.matrix
 
 
-def maximally_entangled(d: int) -> DensityMatrix:
-    """Projector onto d^{-1/2} sum_k |kk> as a [d, d] state."""
-    vec = np.eye(d, dtype=complex).reshape(d * d) / sqrt(d)
-    return DensityMatrix(np.outer(vec, vec.conj()), (d, d))
-
-
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply the channel: rho -> sum K rho K^dag."""
     if rho.dim != ch.d_in:
@@ -85,26 +79,45 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def apply_to_subsystem(ch: KrausChannel, rho: DensityMatrix, subsystem: int) -> DensityMatrix:
-    """Apply the channel to one tensor factor, identity on the rest."""
+    """Apply the channel to one tensor factor, identity on the rest.
+
+    Each I_left (x) K (x) I_right is broadcast from its three factors and
+    reshaped, so it holds the same products np.kron would form and the
+    output is the kron route's bit for bit.
+    """
     dims = rho.dims
     if subsystem < 0 or subsystem >= len(dims):
         raise ValueError(f"subsystem {subsystem} out of range for dims {dims}")
     if dims[subsystem] != ch.d_in:
         raise ValueError(f"subsystem dimension {dims[subsystem]} != channel input {ch.d_in}")
-    left = int(np.prod(dims[:subsystem], dtype=np.int64)) if subsystem else 1
-    right = int(np.prod(dims[subsystem + 1 :], dtype=np.int64)) if subsystem + 1 < len(dims) else 1
+    left = prod(dims[:subsystem])
+    right = prod(dims[subsystem + 1 :])
+    eye_l = np.eye(left)[:, None, None, :, None, None]
+    eye_r = np.eye(right)[None, None, :, None, None, :]
+    shape = (left * ch.d_out * right, left * ch.d_in * right)
     out = 0
     for K in ch.kraus_ops:
-        big = np.kron(np.kron(np.eye(left), K), np.eye(right))
+        big = (eye_l * K[None, :, None, None, :, None] * eye_r).reshape(shape)
         out = out + big @ rho.matrix @ big.conj().T
     new_dims = dims[:subsystem] + (ch.d_out,) + dims[subsystem + 1 :]
     return DensityMatrix(out, new_dims)
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
-    """Choi state (I tensor E)(Phi) of the channel."""
-    phi = maximally_entangled(ch.d_in)
-    return ChoiMatrix(apply_to_subsystem(ch, phi, 1))
+    """Choi state (I tensor E)(Phi) of the channel.
+
+    Built from vectors: w_K = K.T.reshape(-1) is (I (x) K) sum_k |kk>, so
+    J = sum_K (w_K phi) w_K^dag with phi = d^{-1/2} d^{-1/2}, the entry of Phi.
+    These are the products the matrix route (I (x) K) Phi (I (x) K)^dag
+    forms, so J equals it bit for bit for real Kraus operators and to
+    rounding (~1e-17) for complex ones. J is validated once.
+    """
+    phi = (1.0 / sqrt(ch.d_in)) * (1.0 / sqrt(ch.d_in))
+    out = 0
+    for K in ch.kraus_ops:
+        w = K.T.reshape(-1)
+        out = out + np.outer(w * phi, w.conj())
+    return ChoiMatrix(DensityMatrix(out, (ch.d_in, ch.d_out)))
 
 
 def amplitude_damping(p: float) -> KrausChannel:

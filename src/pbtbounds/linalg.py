@@ -6,6 +6,7 @@ All states are dense complex matrices. Entropic quantities are in bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -42,14 +43,15 @@ class DensityMatrix:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
+        if not np.isfinite(mat).all():
             raise ValueError("density matrix contains non-finite entries")
-        if int(np.prod(self.dims)) != mat.shape[0]:
+        if prod(self.dims) != mat.shape[0]:
             raise ValueError(f"dims {self.dims} do not match dimension {mat.shape[0]}")
         if np.abs(mat - mat.conj().T).max() > TOL_HERM:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > TOL_TRACE or abs(np.trace(mat).imag) > TOL_TRACE:
-            raise ValueError(f"density matrix trace {np.trace(mat)} is not 1")
+        tr = complex(mat.trace())
+        if abs(tr.real - 1.0) > TOL_TRACE or abs(tr.imag) > TOL_TRACE:
+            raise ValueError(f"density matrix trace {tr} is not 1")
         if np.linalg.eigvalsh(mat).min() < -TOL_PSD:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 

@@ -13,9 +13,32 @@ from pbtbounds.channels import (
     apply_to_subsystem,
     choi,
     depolarizing,
-    maximally_entangled,
 )
 from pbtbounds.linalg import DensityMatrix, partial_trace
+
+
+def phi_state(d):
+    """The maximally entangled state d^{-1/2} sum_k |kk> as a [d, d] state."""
+    vec = np.eye(d, dtype=complex).reshape(d * d) / np.sqrt(d)
+    return DensityMatrix(np.outer(vec, vec.conj()), (d, d))
+
+
+def choi_kron_reference(ch):
+    """sum_K (I (x) K) Phi (I (x) K)^dag, written out with np.kron."""
+    phi = phi_state(ch.d_in).matrix
+    out = 0
+    for K in ch.kraus_ops:
+        big = np.kron(np.eye(ch.d_in), K)
+        out = out + big @ phi @ big.conj().T
+    return out
+
+
+def isometry_channel(d_in, d_out, n_ops, seed):
+    """Channel whose Kraus operators are the row blocks of a random isometry."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n_ops * d_out, d_in)) + 1j * rng.normal(size=(n_ops * d_out, d_in))
+    V, _ = np.linalg.qr(z)
+    return KrausChannel(tuple(V[k * d_out : (k + 1) * d_out] for k in range(n_ops)), d_in, d_out)
 
 
 def ad_choi_reference(p):
@@ -71,17 +94,13 @@ class TestApply:
 
     def test_apply_to_subsystem_matches_kron_route(self):
         ch = amplitude_damping(0.4)
-        rho = maximally_entangled(2)
+        rho = phi_state(2)
         via_sub = apply_to_subsystem(ch, rho, 1)
-        expected = np.zeros((4, 4), dtype=complex)
-        for K in ch.kraus_ops:
-            big = np.kron(np.eye(2), K)
-            expected += big @ rho.matrix @ big.conj().T
-        assert np.abs(via_sub.matrix - expected).max() < 1e-14
+        assert np.abs(via_sub.matrix - choi_kron_reference(ch)).max() < 1e-14
 
     def test_apply_to_subsystem_index_checks(self):
         ch = amplitude_damping(0.4)
-        rho = maximally_entangled(2)
+        rho = phi_state(2)
         with pytest.raises(ValueError, match="out of range"):
             apply_to_subsystem(ch, rho, 2)
         with pytest.raises(ValueError, match="subsystem dimension"):
@@ -98,6 +117,22 @@ class TestModelChannels:
         for p in (0.0, 0.2, 0.5, 0.8, 1.0):
             got = choi(amplitude_damping(p)).matrix
             assert np.abs(got - ad_choi_reference(p)).max() < 1e-14
+
+    def test_ad_choi_bit_identical_to_kron_route(self):
+        seeded = np.random.default_rng(20180305).uniform(0.0, 1.0, size=20)
+        for p in (0.0, 0.2, 0.5, 0.8, 1.0, *seeded):
+            ch = amplitude_damping(p)
+            assert np.array_equal(choi(ch).matrix, choi_kron_reference(ch))
+
+    @pytest.mark.parametrize(
+        "ch",
+        [depolarizing(0.3, 2), depolarizing(0.7, 3), isometry_channel(2, 3, 2, seed=7)],
+        ids=["depolarizing-d2", "depolarizing-d3", "isometry-2to3"],
+    )
+    def test_choi_matches_kron_route(self, ch):
+        got = choi(ch)
+        assert got.state.dims == (ch.d_in, ch.d_out)
+        assert np.abs(got.matrix - choi_kron_reference(ch)).max() <= 1e-15
 
     def test_depolarizing_parameter_range(self):
         with pytest.raises(ValueError, match="probability"):
@@ -116,7 +151,7 @@ class TestModelChannels:
 
     def test_depolarizing_zero_is_identity(self):
         got = choi(depolarizing(0.0, 3)).matrix
-        assert np.abs(got - maximally_entangled(3).matrix).max() < 1e-14
+        assert np.abs(got - phi_state(3).matrix).max() < 1e-14
 
 
 @settings(max_examples=30, deadline=None)

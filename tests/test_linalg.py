@@ -53,6 +53,19 @@ class TestDensityMatrix:
         mat = np.diag([np.inf, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(mat, (2,))
+        imag_nan = (np.eye(2) / 2).astype(complex)
+        imag_nan[0, 0] = complex(0.5, np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(imag_nan, (2,))
+        off_diag_inf = (np.eye(2) / 2).astype(complex)
+        off_diag_inf[0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(off_diag_inf, (2,))
+
+    def test_numpy_integer_dims_stored_as_int(self):
+        rho = DensityMatrix(np.eye(6) / 6, (np.int64(2), np.int32(3)))
+        assert rho.dims == (2, 3)
+        assert all(type(d) is int for d in rho.dims)
 
 
 class TestMetrics:
