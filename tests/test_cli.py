@@ -177,3 +177,15 @@ class TestGoldenTables:
         assert code == 0
         assert out.encode() == (DATA_DIR / name).read_bytes()
 
+    def test_oracle_verify_pinned_by_tolerance(self, capsys):
+        # the closed-form cells are pinned byte for byte by the xi table; the
+        # oracle's differences are float rounding noise, so they get a bound
+        code, out = _run(["oracle-verify", "--m-max", "8"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        xi_rows = (DATA_DIR / "xi_table_m64.csv").read_text().strip().split("\n")[1:]
+        assert [r[:2] for r in rows] == [line.split(",")[:2] for line in xi_rows[:7]]
+        for _, closed, oracle, abs_diff, residual in rows:
+            assert abs(float(oracle) - float(closed)) <= 1e-12
+            assert float(abs_diff) <= 1e-12
+            assert float(residual) <= 1e-12

@@ -37,6 +37,18 @@ def _entangled_vector(M):
     return vec.reshape((2,) * n).transpose(perm).reshape(2**n)
 
 
+def _dense(ens):
+    """The ensemble's sector blocks embedded in dense 2^{M+1}-dim arrays:
+    the (M, dim, dim) sigma stack, rho and the (M, dim, dim) POVM stack."""
+    M, dim = ens.M, 2 ** (ens.M + 1)
+    sigma, rho, povm = np.zeros((M, dim, dim)), np.zeros((dim, dim)), np.zeros((M, dim, dim))
+    for s, r, sig, P in zip(ens.sectors, ens.rho_sum, ens.sigma, ens.povm):
+        rho[np.ix_(s, s)] = r
+        sigma[:, s[:, None], s] = sig
+        povm[:, s[:, None], s] = P
+    return sigma, rho, povm
+
+
 def _port_outputs(ens):
     """Unnormalized Choi contribution of each outcome on (D, B_i).
 
@@ -50,7 +62,7 @@ def _port_outputs(ens):
     psi_mat = psi.reshape(dim_ca, dim_ca)  # rows (C,A); cols (D,B)
     psi_t = psi.reshape((2,) * n)
     taus = []
-    for i, P in enumerate(ens.povm, start=1):
+    for i, P in enumerate(_dense(ens)[2], start=1):
         measured = (P @ psi_mat).reshape((2,) * n)
         keep = [M + 1, M + 1 + i]  # D, B_i
         rest = [q for q in range(n) if q not in keep]
@@ -79,18 +91,19 @@ def _embed_two_qubit(op4, p, q, n):
 
 
 def _dense_ensemble(M):
+    """(sigma stack, rho, POVM stack) of the square-root measurement on all 2^{M+1} dims."""
     n = M + 1
     dim = 2**n
     # Phi on (A_i, C): port qubit at position i, input qubit at position 0.
-    sigmas = tuple(_embed_two_qubit(_PHI, i, 0, n) / 2 ** (M - 1) for i in range(1, M + 1))
-    rho = sum(sigmas)
+    sigmas = np.array([_embed_two_qubit(_PHI, i, 0, n) / 2 ** (M - 1) for i in range(1, M + 1)])
+    rho = sigmas.sum(axis=0)
     evals, vecs = np.linalg.eigh(rho)
     on_support = evals > 1e-10
     inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, evals, 1.0)), 0.0)
     S = (vecs * inv_sqrt) @ vecs.conj().T
     support = (vecs * on_support) @ vecs.conj().T
-    povm = tuple(S @ s @ S + (np.eye(dim) - support) / M for s in sigmas)
-    return PbtEnsemble(M, sigmas, rho, povm)
+    povm = np.array([S @ s @ S + (np.eye(dim) - support) / M for s in sigmas])
+    return sigmas, rho, povm
 
 
 def _charge(M):
@@ -101,22 +114,21 @@ def _charge(M):
 class TestEnsemble:
     def test_povm_completeness(self):
         for M in (2, 3, 4):
-            ens = build_ensemble(M)
-            total = sum(ens.povm)
-            assert np.abs(total - np.eye(2 ** (M + 1))).max() < 1e-10
+            povm = _dense(build_ensemble(M))[2]
+            assert np.abs(povm.sum(axis=0) - np.eye(2 ** (M + 1))).max() < 1e-10
 
     def test_rho_rank_deficiency(self):
         # the kernel of rho is spanned by exactly M + 2 states
         for M in (2, 3, 4):
             ens = build_ensemble(M)
-            evals = np.linalg.eigvalsh(ens.rho_sum)
-            assert int(np.sum(evals < 1e-10)) == M + 2
+            kernel = [int(np.sum(np.linalg.eigvalsh(r) < 1e-10)) for r in ens.rho_sum]
+            assert sum(kernel) == M + 2
 
     def test_outcome_probabilities_uniform(self):
         for M in (2, 3, 5):
             ens = build_ensemble(M)
-            for P in ens.povm:
-                prob = np.trace(P).real / 2 ** (M + 1)
+            traces = sum(np.trace(P, axis1=1, axis2=2) for P in ens.povm)
+            for prob in traces / 2 ** (M + 1):
                 assert prob == pytest.approx(1.0 / M, abs=1e-10)
 
     def test_port_range(self):
@@ -128,43 +140,72 @@ class TestEnsemble:
     @pytest.mark.parametrize("M", range(2, M_MAX + 1))
     def test_measurement_data_positive_semidefinite(self, M):
         # construction checks only the sums; the ensemble is a fixed function
-        # of M, so positivity is pinned here once for every supported M
+        # of M, so positivity is pinned here once for every supported M, block
+        # by block (every operator vanishes off its sector blocks)
         ens = build_ensemble(M)
-        for op in (*ens.sigma, *ens.povm):
-            assert np.linalg.eigvalsh(op).min() >= -1e-9
+        for stack in (*ens.sigma, *ens.povm):
+            assert np.linalg.eigvalsh(stack).min() >= -1e-9
 
     @pytest.mark.parametrize("M", range(2, 8))
     def test_sector_build_matches_dense_reference(self, M):
-        ens, ref = build_ensemble(M), _dense_ensemble(M)
-        got = (*ens.sigma, ens.rho_sum, *ens.povm)
-        want = (*ref.sigma, ref.rho_sum, *ref.povm)
-        assert len(got) == len(want) == 2 * M + 1
-        assert all(op.dtype == np.float64 for op in got)
+        ens = build_ensemble(M)
+        got, want = _dense(ens), _dense_ensemble(M)
+        assert [g.shape for g in got] == [w.shape for w in want]
+        assert all(b.dtype == np.float64 for b in (*ens.rho_sum, *ens.sigma, *ens.povm))
         assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-12
+
+    def test_storage_is_per_sector(self):
+        # sum_q C(M+1, q+1)^2 = C(2M+2, M+1) entries per operator, for rho and
+        # the M sigma and M POVM blocks; dense storage would hold 4^{M+1} each
+        M = 8
+        ens = build_ensemble(M)
+        floats = sum(b.size for b in (*ens.rho_sum, *ens.sigma, *ens.povm))
+        assert floats == (2 * M + 1) * comb(2 * M + 2, M + 1)
 
     @pytest.mark.parametrize("M", range(2, 7))
     def test_dense_reference_conserves_charge(self, M):
         # the symmetry the sector build relies on, read off the build that
         # does not assume it
-        ref, charge = _dense_ensemble(M), _charge(M)
+        (_, rho, povm), charge = _dense_ensemble(M), _charge(M)
         off_sector = charge[:, None] != charge[None, :]
-        assert np.all(ref.rho_sum[off_sector] == 0)
-        assert max(np.abs(P[off_sector]).max() for P in ref.povm) <= 1e-14
+        assert np.all(rho[off_sector] == 0)
+        assert max(np.abs(P[off_sector]).max() for P in povm) <= 1e-14
         sizes = [int(np.sum(charge == q)) for q in range(-1, M + 1)]
         assert sizes == [comb(M + 1, q + 1) for q in range(-1, M + 1)]
         assert sum(sizes) == 2 ** (M + 1)
         for q in range(-1, M + 1):
             sector = np.flatnonzero(charge == q)
-            evals = np.linalg.eigvalsh(ref.rho_sum[np.ix_(sector, sector)])
+            evals = np.linalg.eigvalsh(rho[np.ix_(sector, sector)])
             assert int(np.sum(evals < 1e-10)) == 1
 
     def test_invariants_enforced_on_construction(self):
         ens = build_ensemble(2)
-        broken = tuple(P * 0.9 for P in ens.povm)
+        broken = (*ens.povm[:2], ens.povm[2] * 0.9, *ens.povm[3:])
         with pytest.raises(ValueError, match="identity"):
-            PbtEnsemble(2, ens.sigma, ens.rho_sum, broken)
+            PbtEnsemble(2, ens.sectors, ens.rho_sum, ens.sigma, broken)
+        broken = (*ens.rho_sum[:2], ens.rho_sum[2] * 0.5, *ens.rho_sum[3:])
         with pytest.raises(ValueError, match="rho_sum"):
-            PbtEnsemble(2, ens.sigma, ens.rho_sum * 0.5, ens.povm)
+            PbtEnsemble(2, ens.sectors, broken, ens.sigma, ens.povm)
+
+    def test_malformed_layout_rejected(self):
+        ens = build_ensemble(3)
+        blocks = (ens.rho_sum, ens.sigma, ens.povm)
+        s = ens.sectors
+        missing = (s[0], s[1][:-1], *s[2:])
+        duplicated = (s[0], np.append(s[1], s[2][0]), *s[2:])
+        for sectors in (missing, duplicated):
+            with pytest.raises(ValueError, match="partition"):
+                PbtEnsemble(3, sectors, *blocks)
+        # a partition whose sector sizes no longer match the blocks
+        moved = (s[0], s[1][:-1], np.append(s[2], s[1][-1]), *s[3:])
+        with pytest.raises(ValueError, match="block shapes"):
+            PbtEnsemble(3, moved, *blocks)
+        # one block cut short, the layout left as it is
+        cut = (*ens.povm[:2], ens.povm[2][:, :-1, :-1], *ens.povm[3:])
+        with pytest.raises(ValueError, match="block shapes"):
+            PbtEnsemble(3, s, ens.rho_sum, ens.sigma, cut)
+        with pytest.raises(ValueError, match="block shapes"):
+            PbtEnsemble(3, s, ens.rho_sum[:-1], ens.sigma, ens.povm)
 
 
 class TestChoiExtraction:
