@@ -209,7 +209,7 @@ def _qfi_single_step(choi_at, theta: float, h: float) -> float:
     """4 d_B^2(rho(theta-h/2), rho(theta+h/2)) / h^2."""
     a = choi_at(theta - h / 2.0)
     b = choi_at(theta + h / 2.0)
-    F = fidelity(getattr(a, "matrix", a), getattr(b, "matrix", b))
+    F = fidelity(a, b)
     if not isfinite(F):
         raise ValueError("fidelity of the channel family is not finite")
     return 8.0 * (1.0 - F) / h**2

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import exp, isfinite, log, sqrt
 
+import numpy as np
+
 from .pbt import _ad_factor, delta_upper, simulation_error, xi
 
 # ln sqrt(2): converts relative entropy in bits to the Pinsker radicand.
@@ -68,8 +70,9 @@ def _check_fidelity(F: float) -> None:
 
 
 def _check_counts(n: int, M: int) -> None:
-    if n < 1 or M < 1:
-        raise ValueError(f"counts n={n}, M={M} must be >= 1")
+    for count in (n, M):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"counts n={n}, M={M} must be integers >= 1")
 
 
 def d_upper_fuchs(F: float, n: int, M: int) -> float:

@@ -9,35 +9,25 @@ of the simulated channels.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, exp, ldexp, log, pi, sqrt
+from math import ldexp, sqrt
 
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, apply_to_subsystem
 from .linalg import TOL_NUM, Array, DensityMatrix, _partial_trace_array
 
-# Up to this M the window is anchored on the exactly rounded comb(M, M//2) / 2^M;
-# above it on the Stirling series, whose first omitted term is below 1e-24 there.
-_EXACT_ANCHOR_MAX = 4096
 
+def _binomial_window(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """k and the Binom(M, 1/2) pmf C(M, k) / 2^M for k in M//2 +- 40 sqrt(M) within [0, M].
 
-def _binomial_window(M: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """k and C(M, k) / 2^e for k in M//2 +- 40 sqrt(M), clipped to [0, M].
-
-    Relative to the centre the weights fall as e^{-2 x^2 / M} at distance x,
-    so every weight outside the window underflows to 0. Log-weights are
-    cumulative sums of log-ratios taken outward from the centre, which keeps
-    the rounding of the large central weights at a few ulp.
+    Relative to the centre the weights fall as e^{-2 x^2 / M} at distance x, so
+    up to M = 6400 the window spans [0, M] and above it every weight left out is
+    below e^{-3200} of the centre: the window's weights divided by their sum are the pmf.
+    Log-weights are cumulative sums of log-ratios taken outward from the
+    centre, which keeps the rounding of the large central weights at a few ulp.
     """
     c = M // 2
     odd = M - 2 * c
-    if M <= _EXACT_ANCHOR_MAX:
-        centre = comb(M, c) / 2**M
-    else:
-        # log(C(2c, c) / 4^c); C(2c+1, c) / 2^(2c+1) is that times (2c+1)/(2c+2)
-        centre = exp(-0.5 * log(pi * c) - 1 / (8 * c) + 1 / (192 * c**3) - 1 / (640 * c**5))
-        if odd:
-            centre *= M / (M + 1)
     up = min(M - c, int(40 * sqrt(M)))
     k = np.arange(c, c + up, dtype=float)
     # log C(M, c + j) / C(M, c) for j = 0..up, from C(M, k+1) / C(M, k) = (M-k)/(k+1)
@@ -46,7 +36,8 @@ def _binomial_window(M: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     down = min(c, up - odd)
     log_w = np.concatenate((log_up[odd + 1 : odd + 1 + down][::-1], log_up))
     ks = np.arange(c - down, c + up + 1, dtype=float)
-    return ks, ldexp(centre, M - e) * np.exp(log_w)
+    w = np.exp(log_w)
+    return ks, w / w.sum()
 
 
 def _check_ports(M: int) -> None:
@@ -56,12 +47,13 @@ def _check_ports(M: int) -> None:
 
 @lru_cache
 def _xi_sum(M: int) -> float:
-    k, w = _binomial_window(M, M - 4)
+    k, w = _binomial_window(M)
     n = (M - 1) // 2 - int(k[0]) + 1  # the spins s >= 0 have k <= (M-1)/2
     t2 = (M - 2 * k[:n]) ** 2  # (2s + 1)^2
     gap = (M + 2) ** 2 - t2
     terms = (t2 - 1) * t2 * w[:n] / (gap * ((M + 2) + np.sqrt(gap)))
-    return ldexp((M + 2) / 3, 1 - M) + float(np.sum(terms)) / 12
+    # 16 w = C(M, k) / 2^(M-4)
+    return ldexp((M + 2) / 3, 1 - M) + 16 * float(np.sum(terms)) / 12
 
 
 def xi(M: int) -> float:
@@ -82,9 +74,9 @@ def xi(M: int) -> float:
 
 @lru_cache
 def _fidelity_sum(M: int) -> float:
-    k, w = _binomial_window(M, M + 3)
+    k, w = _binomial_window(M)
     t = (M - 2 * k - 1) / np.sqrt(k + 1) + (M - 2 * k + 1) / np.sqrt(M - k + 1)
-    return float(np.sum(t * t * w))
+    return float(np.sum(t * t * w)) / 8  # w / 8 = C(M, k) / 2^(M+3)
 
 
 def entanglement_fidelity_qubit(M: int) -> float:
@@ -119,9 +111,10 @@ def simulation_error(M: int, d: int) -> tuple[float, str]:
     handle is 'upper_bound', the 2d(d-1)/M bound capped at 2, which no
     diamond distance exceeds.
     """
+    bound = delta_upper(M, d)  # checks M and d before the d == 2 branch
     if d == 2:
         return delta_exact_qubit(M), "closed_form"
-    return min(delta_upper(M, d), 2.0), "upper_bound"
+    return min(bound, 2.0), "upper_bound"
 
 
 def _depolarizing_choi_matrix(x: float) -> Array:

@@ -47,8 +47,9 @@ class TestEstimators:
         assert got == pytest.approx(sqrt(20 * 40 * 0.5 * log(2) * 0.3), abs=1e-12)
 
     def test_count_validation(self):
-        with pytest.raises(ValueError):
-            d_upper_fuchs(0.9, 0, 4)
+        for n, M in ((0, 4), (1.5, 4), (2, 4.0), (True, 4), (2, True)):
+            with pytest.raises(ValueError, match="integers"):
+                d_upper_fuchs(0.9, n, M)
         with pytest.raises(ValueError):
             d_upper_fuchs(1.2, 1, 4)
 
@@ -74,6 +75,9 @@ class TestBoundB:
             bound_B(5, 10, 2.5, 0.0)
         with pytest.raises(ValueError):
             bound_B(5, 10, 0.5, -0.1)
+        for n, M in ((1.5, 10), (5, 10.5), (5.0, 10), (True, 10), (5, False)):
+            with pytest.raises(ValueError, match="integers"):
+                bound_B(n, M, 0.1, 0.1)
 
 
 class TestBoundBOptimized:

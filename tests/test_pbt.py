@@ -102,8 +102,8 @@ class TestXi:
         assert [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms] == before
 
     def test_strictly_decreasing_across_binomial_switch(self):
-        # the exactly rounded central-binomial anchor gives way to Stirling above M = 4096
-        for lo, hi in ((2, 80), (4000, 4200)):
+        # above M = 6400 the +- 40 sqrt(M) window is clipped inside [0, M]
+        for lo, hi in ((2, 80), (4000, 4200), (6300, 6500)):
             values = [xi(M) for M in range(lo, hi + 1)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -115,7 +115,7 @@ class TestXi:
         for M in (49, 50, 51, 60, 80):
             assert xi(M) == pytest.approx(xi_mpmath(M), abs=1e-12)
 
-    @pytest.mark.parametrize("M", [*range(2, 65), 1000, 4096, 4097, 5000, 100_000])
+    @pytest.mark.parametrize("M", [*range(2, 65), 1000, 4096, 4097, 5000, 6400, 6401, 100_000])
     def test_relative_error_vs_mpmath(self, M):
         ref = xi_mpmath(M)
         assert abs(xi(M) - ref) <= 1e-14 * ref
@@ -142,7 +142,7 @@ class TestEntanglementFidelity:
         for M in (30, 50, 51, 70):
             assert entanglement_fidelity_qubit(M) == pytest.approx(fe_mpmath(M), abs=1e-12)
 
-    @pytest.mark.parametrize("M", [*range(2, 71), 1000, 3000])
+    @pytest.mark.parametrize("M", [*range(2, 71), 1000, 3000, 4096, 4097, 6400, 6401])
     def test_relative_error_vs_mpmath(self, M):
         ref = fe_mpmath(M)
         assert abs(entanglement_fidelity_qubit(M) - ref) <= 1e-14 * ref
@@ -182,8 +182,9 @@ class TestSimulationError:
     def test_rejects_invalid_inputs(self):
         with pytest.raises(ValueError):
             simulation_error(1, 2)
-        with pytest.raises(ValueError):
-            simulation_error(10, 1)
+        for d in (1, 2.0, 3.0):
+            with pytest.raises(ValueError, match="dimension"):
+                simulation_error(10, d)
 
 
 class TestPbtChoi:
