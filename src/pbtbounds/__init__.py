@@ -26,8 +26,6 @@ from .channels import (
     ChoiMatrix,
     KrausChannel,
     amplitude_damping,
-    apply,
-    apply_to_subsystem,
     choi,
     depolarizing,
 )
@@ -48,10 +46,8 @@ from .discrimination import (
 from .linalg import (
     DensityMatrix,
     fidelity,
-    partial_trace,
     psd_sqrt,
     relative_entropy,
-    trace_distance,
     trace_norm,
 )
 from .pbt import (

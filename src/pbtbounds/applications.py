@@ -12,7 +12,8 @@ from math import ceil, exp, inf, isfinite, log2, sqrt
 
 import numpy as np
 
-from .discrimination import BoundReport, _report, bound_B_near_identity
+from .channels import _check_dim
+from .discrimination import BoundReport, _check_counts, _report, bound_B_near_identity
 from .linalg import DensityMatrix, fidelity
 
 
@@ -67,8 +68,7 @@ def resolution_bound(n: int, eta: float, s: float) -> BoundReport:
     exp(-8 n sqrt(eps)) / 4 ('exact_value', always >= the small-s form) and
     the linear form, plus a regime flag for eps_small = eta s^2/16 <= 0.01.
     """
-    if n < 1:
-        raise ValueError(f"probe count {n} must be >= 1")
+    _check_counts(n, 1)
     _check_resolution(eta, s)
     raw = exp(-2.0 * n * s * sqrt(eta)) / 4.0
     eps = eta * (1.0 - exp(-s * s / 8.0)) / 2.0
@@ -180,8 +180,7 @@ def illumination_bound(n: int, d: int, eta: float) -> BoundReport:
     separable-probe reference error exp(-n eta / (8d)) / 2, which upper-bounds
     what unentangled probes achieve.
     """
-    if n < 1:
-        raise ValueError(f"probe count {n} must be >= 1")
+    _check_counts(n, 1)
     if d < 1:
         raise ValueError(f"mode count {d} must be >= 1")
     if not 0.0 <= eta <= 1.0:
@@ -241,8 +240,7 @@ class MetrologyBound:
 
 def metrology_bound(n: int, qfi_choi_value: float) -> MetrologyBound:
     """QFI after n adaptive uses is at most n^2 times the Choi QFI."""
-    if n < 1:
-        raise ValueError(f"use count {n} must be >= 1")
+    _check_counts(n, 1)
     if qfi_choi_value < 0.0:
         raise ValueError(f"QFI {qfi_choi_value} must be nonnegative")
     ceiling = n * n * qfi_choi_value
@@ -254,8 +252,7 @@ def metrology_bound(n: int, qfi_choi_value: float) -> MetrologyBound:
 
 def _check_key_inputs(d: int, e_r: float) -> None:
     """d >= 2 and 0 <= e_r <= log2 d, the cap of REE and SE on a d-dimensional Choi state."""
-    if d < 2:
-        raise ValueError(f"dimension {d} must be >= 2")
+    _check_dim(d)
     if not 0.0 <= e_r <= log2(d):
         raise ValueError(f"entanglement value e_r = {e_r} outside [0, log2 d = {log2(d)}]")
 
@@ -281,8 +278,7 @@ class KeyRateParams:
         _check_key_inputs(self.d, self.e_r)
         if self.measure not in ("REE", "SE"):
             raise ValueError(f"unknown entanglement measure {self.measure!r}")
-        if self.n < 1:
-            raise ValueError(f"use count {self.n} must be >= 1")
+        _check_counts(self.n, 1)
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"security parameter {self.epsilon} outside [0, 1)")
         if self.c <= 0.0:

@@ -8,11 +8,16 @@ factor, the channel output the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .linalg import TOL_NUM, Array, DensityMatrix, _partial_trace_array
+from .linalg import TOL_NUM, Array, DensityMatrix, _partial_trace_2
+
+
+def _check_dim(d: int) -> None:
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"dimension {d} must be an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,7 @@ class ChoiMatrix:
     def __post_init__(self):
         if len(self.state.dims) != 2:
             raise ValueError("Choi state must carry dims [d_in, d_out]")
-        marginal = _partial_trace_array(self.state.matrix, self.state.dims, [0])
+        marginal = _partial_trace_2(self.state.matrix, self.state.dims, 0)
         if np.abs(marginal - np.eye(self.d_in) / self.d_in).max() > TOL_NUM:
             raise ValueError("first marginal of Choi state is not I/d_in")
 
@@ -68,39 +73,6 @@ class ChoiMatrix:
     @property
     def matrix(self) -> Array:
         return self.state.matrix
-
-
-def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the channel: rho -> sum K rho K^dag."""
-    if rho.dim != ch.d_in:
-        raise ValueError(f"state dimension {rho.dim} != channel input {ch.d_in}")
-    out = sum(K @ rho.matrix @ K.conj().T for K in ch.kraus_ops)
-    return DensityMatrix(out, (ch.d_out,))
-
-
-def apply_to_subsystem(ch: KrausChannel, rho: DensityMatrix, subsystem: int) -> DensityMatrix:
-    """Apply the channel to one tensor factor, identity on the rest.
-
-    Each I_left (x) K (x) I_right is broadcast from its three factors and
-    reshaped, so it holds the same products np.kron would form and the
-    output is the kron route's bit for bit.
-    """
-    dims = rho.dims
-    if subsystem < 0 or subsystem >= len(dims):
-        raise ValueError(f"subsystem {subsystem} out of range for dims {dims}")
-    if dims[subsystem] != ch.d_in:
-        raise ValueError(f"subsystem dimension {dims[subsystem]} != channel input {ch.d_in}")
-    left = prod(dims[:subsystem])
-    right = prod(dims[subsystem + 1 :])
-    eye_l = np.eye(left)[:, None, None, :, None, None]
-    eye_r = np.eye(right)[None, None, :, None, None, :]
-    shape = (left * ch.d_out * right, left * ch.d_in * right)
-    out = 0
-    for K in ch.kraus_ops:
-        big = (eye_l * K[None, :, None, None, :, None] * eye_r).reshape(shape)
-        out = out + big @ rho.matrix @ big.conj().T
-    new_dims = dims[:subsystem] + (ch.d_out,) + dims[subsystem + 1 :]
-    return DensityMatrix(out, new_dims)
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
@@ -146,8 +118,7 @@ def depolarizing(xi: float, d: int) -> KrausChannel:
     """
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"depolarizing probability {xi} outside [0, 1]")
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
+    _check_dim(d)
     ops = [sqrt(1.0 - xi + xi / d**2) * np.eye(d, dtype=complex)]
     for a in range(d):
         for b in range(d):

@@ -13,6 +13,7 @@ from math import exp, isfinite, log, sqrt
 
 import numpy as np
 
+from .channels import _check_dim
 from .pbt import _ad_factor, delta_upper, simulation_error, xi
 
 # ln sqrt(2): converts relative entropy in bits to the Pinsker radicand.
@@ -176,8 +177,7 @@ def bound_B_analytic_M(n: int, d: int, F: float) -> BoundReport:
     """bound_B at the port choice M = 4d(d-1)n with the generic delta and the
     Fuchs estimator; there n*delta = 1/2, so it equals (1 - 2D)/4."""
     _check_counts(n, 1)
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
+    _check_dim(d)
     M = 4 * d * (d - 1) * n
     return bound_B(n, M, delta_upper(M, d), d_upper_fuchs(F, n, M))
 
@@ -192,8 +192,7 @@ def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
     if epsilon < 0.0 or epsilon > 1.0:
         raise ValueError(f"infidelity {epsilon} outside [0, 1]")
     _check_counts(n, 1)
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
+    _check_dim(d)
     x = n * sqrt(2.0 * d * (d - 1) * epsilon)
     raw = 0.25 - x
     surrogate = exp(-4.0 * x) / 4.0

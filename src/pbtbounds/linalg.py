@@ -68,14 +68,6 @@ def trace_norm(A) -> float:
     return float(np.abs(np.linalg.eigvalsh(mat)).sum())
 
 
-def trace_distance(rho, sigma) -> float:
-    """Trace distance D = ||rho - sigma||_1 / 2."""
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * trace_norm(a - b)
-
-
 def psd_sqrt(A) -> Array:
     """Matrix square root of a PSD matrix.
 
@@ -102,38 +94,9 @@ def fidelity(rho, sigma) -> float:
     return min(float(sv.sum()), 1.0)
 
 
-def partial_trace(state, keep, dims=None):
-    """Trace out all subsystems except those in `keep` (order preserved).
-
-    `state` may be a DensityMatrix (dims taken from it, DensityMatrix
-    returned) or a raw square array with explicit `dims`.
-    """
-    if isinstance(state, DensityMatrix):
-        out = _partial_trace_array(state.matrix, state.dims, keep)
-        return DensityMatrix(out, tuple(state.dims[k] for k in keep))
-    if dims is None:
-        raise ValueError("dims required for raw-array partial trace")
-    return _partial_trace_array(np.asarray(state, dtype=complex), tuple(dims), keep)
-
-
-def _partial_trace_array(mat, dims, keep) -> Array:
-    n = len(dims)
-    keep = list(keep)
-    if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"invalid subsystem selection {keep} for {n} subsystems")
-    tensor = mat.reshape(dims + dims)
-    traced = sorted((i for i in range(n) if i not in keep), reverse=True)
-    remaining = n
-    for i in traced:
-        tensor = np.trace(tensor, axis1=i, axis2=i + remaining)
-        remaining -= 1
-    # remaining axes follow increasing original index; permute to `keep` order
-    inc = sorted(keep)
-    perm = [inc.index(k) for k in keep]
-    m = len(keep)
-    tensor = tensor.transpose(perm + [m + p for p in perm])
-    d_out = int(np.prod([dims[k] for k in keep]))
-    return tensor.reshape(d_out, d_out)
+def _partial_trace_2(mat, dims, keep: int) -> Array:
+    """Marginal of a two-factor matrix on factor `keep` (0 or 1)."""
+    return np.trace(mat.reshape(dims + dims), axis1=1 - keep, axis2=3 - keep)
 
 
 def relative_entropy(rho, sigma) -> float:

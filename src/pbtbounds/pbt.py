@@ -3,7 +3,8 @@
 Closed-form quantities for the qubit square-root-measurement protocol with M
 ports: the depolarizing probability xi_M, the entanglement fidelity f_e, the
 diamond-norm simulation errors delta_M and Delta_M(p), and the Choi matrices
-of the simulated channels.
+of the simulated channels, which are linear in each channel's own Choi matrix
+because the M-port qubit channel is depolarizing.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from math import ldexp, sqrt
 
 import numpy as np
 
-from .channels import ChoiMatrix, KrausChannel, apply_to_subsystem
-from .linalg import TOL_NUM, Array, DensityMatrix, _partial_trace_array
+from .channels import ChoiMatrix, KrausChannel, _check_dim, choi
+from .linalg import TOL_NUM, Array, DensityMatrix, _partial_trace_2
 
 
 def _binomial_window(M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +100,7 @@ def delta_exact_qubit(M: int) -> float:
 def delta_upper(M: int, d: int) -> float:
     """Dimension-general upper bound 2d(d-1)/M on the simulation error."""
     _check_ports(M)
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension {d} must be an integer >= 2")
+    _check_dim(d)
     return 2.0 * d * (d - 1) / M
 
 
@@ -132,13 +132,19 @@ def pbt_choi_qubit(M: int) -> ChoiMatrix:
 def simulate_channel_choi(ch: KrausChannel, M: int) -> ChoiMatrix:
     """Choi matrix of the M-port simulation of a qubit channel.
 
-    The simulation composes the channel after the PBT map, so its Choi state
-    is the channel applied to the output half of the PBT Choi state.
+    The simulation composes the channel after the PBT map, which is qubit
+    depolarizing with probability xi_M, so its Choi state is linear in the
+    channel's own J: (1 - xi_M) J + xi_M (I/2 (x) Tr_ref J), since Tr_ref J
+    is the channel's output on I/2.
     """
     if ch.d_in != 2:
         raise ValueError(f"simulation handles qubit input channels only, got d_in={ch.d_in}")
-    base = pbt_choi_qubit(M).state
-    return ChoiMatrix(apply_to_subsystem(ch, base, 1))
+    x = xi(M)
+    J = choi(ch)
+    d = ch.d_out
+    out_mixed = _partial_trace_2(J.matrix, J.state.dims, 1)
+    mixed = (np.eye(2)[:, None, :, None] / 2 * out_mixed[None, :, None, :]).reshape(2 * d, 2 * d)
+    return ChoiMatrix(DensityMatrix((1.0 - x) * J.matrix + x * mixed, J.state.dims))
 
 
 def diamond_via_choi_scalar_check(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float | None:
@@ -153,7 +159,7 @@ def diamond_via_choi_scalar_check(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> flo
     J = choi_a.matrix - choi_b.matrix
     evals, vecs = np.linalg.eigh(J)
     absJ = (vecs * np.abs(evals)) @ vecs.conj().T
-    marg = _partial_trace_array(absJ, choi_a.state.dims, [0])
+    marg = _partial_trace_2(absJ, choi_a.state.dims, 0)
     d_in = choi_a.d_in
     c = np.trace(marg).real / d_in
     if np.abs(marg - c * np.eye(d_in)).max() > TOL_NUM:

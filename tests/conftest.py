@@ -1,13 +1,15 @@
-"""Shared strategies: random density matrices kept well away from rank loss.
+"""Shared strategies and a random test channel.
 
-Eigenvalues are drawn in [0.05, 1] before normalization, so the smallest one
-stays orders of magnitude above the PSD tolerance and the sub-tolerance
-zeroing inside psd_sqrt never triggers on property-test inputs.
+Random density matrices are kept well away from rank loss: eigenvalues are
+drawn in [0.05, 1] before normalization, so the smallest one stays orders of
+magnitude above the PSD tolerance and the sub-tolerance zeroing inside
+psd_sqrt never triggers on property-test inputs.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
+from pbtbounds.channels import KrausChannel
 from pbtbounds.linalg import DensityMatrix
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -31,3 +33,11 @@ def density_matrices(draw, dims=(2, 2)):
 @st.composite
 def probabilities(draw, lo=0.0, hi=1.0):
     return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+def isometry_channel(d_in, d_out, n_ops, seed):
+    """Channel whose Kraus operators are the row blocks of a random isometry."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n_ops * d_out, d_in)) + 1j * rng.normal(size=(n_ops * d_out, d_in))
+    V, _ = np.linalg.qr(z)
+    return KrausChannel(tuple(V[k * d_out : (k + 1) * d_out] for k in range(n_ops)), d_in, d_out)

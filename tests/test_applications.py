@@ -88,6 +88,8 @@ class TestResolutionBound:
             resolution_bound(0, 0.1, 1.0)
         with pytest.raises(ValueError):
             resolution_bound(5, 0.1, -0.5)
+        with pytest.raises(ValueError, match="integers"):
+            resolution_bound(1.5, 0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,8 @@ class TestIlluminationBound:
             illumination_bound(1, 0, 0.1)
         with pytest.raises(ValueError):
             illumination_bound(1, 2, 1.5)
+        with pytest.raises(ValueError, match="integers"):
+            illumination_bound(1.5, 2, 0.1)
 
 
 # (d, eta, b) and the check that must fire: d < 1, b < 0, d*b = 1, eta < 0, eta > 1
@@ -272,6 +276,8 @@ class TestMetrologyBound:
             metrology_bound(0, 1.0)
         with pytest.raises(ValueError):
             metrology_bound(1, -0.5)
+        with pytest.raises(ValueError, match="integers"):
+            metrology_bound(1.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +343,8 @@ class TestFiniteKeyRate:
             KeyRateParams(2, 0.01, epsilon=1.0)
         with pytest.raises(ValueError):
             KeyRateParams(2, 0.01, c=0.0)
+        with pytest.raises(ValueError, match="integers"):
+            KeyRateParams(2, 1e-3, n=1.5)
 
 
 class TestAsymptoticKeyRate:
@@ -382,6 +390,8 @@ class TestAsymptoticKeyRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             key_rate_bound_asymptotic(1, 0.01, 10)
+        with pytest.raises(ValueError, match="dimension"):
+            key_rate_bound_asymptotic(2.5, 0.1, 10)
         with pytest.raises(ValueError):
             key_rate_bound_asymptotic(2, 0.01, 1.5)
         with pytest.raises(ValueError):

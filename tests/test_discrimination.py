@@ -157,6 +157,13 @@ class TestAnalyticAndNearIdentity:
         assert bound_B_near_identity(1, 2, 1e-6).params["regime_ok"]
         assert not bound_B_near_identity(100, 2, 1e-2).params["regime_ok"]
 
+    def test_non_integer_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            bound_B_near_identity(1, 2.5, 0.01)
+        # checked before M = 4d(d-1)n is formed, so no float port count is reported
+        with pytest.raises(ValueError, match="dimension"):
+            bound_B_analytic_M(1, 2.5, 0.9)
+
 
 class TestBlockBounds:
     def test_ad_fidelity_extremes(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import isometry_channel
 from pbtbounds import pbt
 from pbtbounds.channels import amplitude_damping, choi, depolarizing
 from pbtbounds.pbt import (
@@ -207,7 +208,34 @@ class TestPbtChoi:
             assert np.abs(pbt_choi_qubit(M).matrix - direct).max() < 1e-12
 
 
+def simulate_kron_reference(ch, M):
+    """sum_K (I (x) K) J_PBT (I (x) K)^dag: the channel on the output half of the PBT Choi state."""
+    base = pbt_choi_qubit(M).matrix
+    out = 0
+    for K in ch.kraus_ops:
+        big = np.kron(np.eye(2), K)
+        out = out + big @ base @ big.conj().T
+    return out
+
+
+_SIMULATED = {
+    "ad-p0": amplitude_damping(0.0),
+    "ad-p0.3": amplitude_damping(0.3),
+    "ad-p1": amplitude_damping(1.0),
+    "depolarizing-d2": depolarizing(0.3, 2),
+    "isometry-2to3": isometry_channel(2, 3, 2, seed=7),
+}
+
+
 class TestSimulateChannel:
+    @pytest.mark.parametrize("M", (2, 5, 9))
+    @pytest.mark.parametrize("name", list(_SIMULATED))
+    def test_matches_kron_reference(self, name, M):
+        ch = _SIMULATED[name]
+        got = simulate_channel_choi(ch, M)
+        assert got.state.dims == (2, ch.d_out)
+        assert np.abs(got.matrix - simulate_kron_reference(ch, M)).max() <= 1e-15
+
     def test_identity_returns_pbt_choi(self):
         ident = depolarizing(0.0, 2)
         for M in (2, 4):
