@@ -70,9 +70,12 @@ def _check_fidelity(F: float) -> None:
         raise ValueError(f"fidelity {F} outside [0, 1]")
 
 
-def _check_counts(n: int, M: int) -> None:
-    for count in (n, M):
+def _check_counts(n: int, M: int | None = None) -> None:
+    """n, and M when given, must be integers >= 1; the message names only those."""
+    for count in (n,) if M is None else (n, M):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            if M is None:
+                raise ValueError(f"count n={n} must be an integer >= 1")
             raise ValueError(f"counts n={n}, M={M} must be integers >= 1")
 
 
@@ -176,7 +179,7 @@ def bound_B_optimized(
 def bound_B_analytic_M(n: int, d: int, F: float) -> BoundReport:
     """bound_B at the port choice M = 4d(d-1)n with the generic delta and the
     Fuchs estimator; there n*delta = 1/2, so it equals (1 - 2D)/4."""
-    _check_counts(n, 1)
+    _check_counts(n)
     _check_dim(d)
     M = 4 * d * (d - 1) * n
     return bound_B(n, M, delta_upper(M, d), d_upper_fuchs(F, n, M))
@@ -191,7 +194,7 @@ def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
     """
     if epsilon < 0.0 or epsilon > 1.0:
         raise ValueError(f"infidelity {epsilon} outside [0, 1]")
-    _check_counts(n, 1)
+    _check_counts(n)
     _check_dim(d)
     x = n * sqrt(2.0 * d * (d - 1) * epsilon)
     raw = 0.25 - x
@@ -210,7 +213,7 @@ def ad_fidelity(p0: float, p1: float) -> float:
 
 def block_bounds_ad(p0: float, p1: float, n: int) -> tuple[float, float]:
     """Optimal block-protocol error window for an amplitude damping pair."""
-    _check_counts(n, 1)
+    _check_counts(n)
     return _block_window(ad_fidelity(p0, p1), n)
 
 

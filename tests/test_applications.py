@@ -2,6 +2,7 @@
 
 from math import exp, inf, log2, sqrt
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -88,12 +89,43 @@ class TestResolutionBound:
             resolution_bound(0, 0.1, 1.0)
         with pytest.raises(ValueError):
             resolution_bound(5, 0.1, -0.5)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"count n=1\.5 must be an integer"):
             resolution_bound(1.5, 0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # quantum illumination
+
+
+def _illumination_fidelity_dense_mp(d, eta, b):
+    """Sum of sqrt(eig(sqrt(sigma) rho sqrt(sigma))) on the full (d+1)^2 space at 50 digits."""
+    with mp.workdps(50):
+        D = d + 1
+        eta, b = mp.mpf(eta), mp.mpf(b)
+        sigma = [(1 - d * b if i // D == 0 else b) / D for i in range(D * D)]
+        psi = [1 / mp.sqrt(D) if i // D == i % D else 0 for i in range(D * D)]
+        mat = mp.matrix(D * D, D * D)
+        for i in range(D * D):
+            for j in range(D * D):
+                rho = (1 - eta) * sigma[i] * (i == j) + eta * psi[i] * psi[j]
+                mat[i, j] = mp.sqrt(sigma[i]) * rho * mp.sqrt(sigma[j])
+        return float(sum(mp.sqrt(max(ev, 0)) for ev in mp.eigsy(mat, eigvals_only=True)))
+
+
+def _illumination_fidelity_block_mp(d, eta, b):
+    """The d^2 states |k j> (k >= 1, j != k), the d states |0 j> and the
+    (d+1)-dim |k k> block of sqrt(sigma) rho sqrt(sigma), at 50 digits."""
+    with mp.workdps(50):
+        eta, b = mp.mpf(eta), mp.mpf(b)
+        x = 1 - d * b
+        block = mp.matrix(d + 1, d + 1)
+        block[0, 0] = (1 - eta) * x * x + eta * x
+        for j in range(1, d + 1):
+            block[0, j] = block[j, 0] = eta * mp.sqrt(x * b)
+            for k in range(1, d + 1):
+                block[j, k] = eta * b + ((1 - eta) * b * b if j == k else 0)
+        roots = sum(mp.sqrt(max(ev, 0)) for ev in mp.eigsy(block, eigvals_only=True))
+        return float((d * d * mp.sqrt(1 - eta) * b + d * mp.sqrt(1 - eta) * x + roots) / (d + 1))
 
 
 class TestIlluminationStates:
@@ -120,10 +152,26 @@ class TestIlluminationStates:
                     assert structured == pytest.approx(generic, abs=1e-10)
 
     def test_auto_dispatch_is_consistent(self):
-        for d in (2, 12):
+        for d in (1, 2, 8, 12):
             auto = illumination_fidelity_exact(d, 0.01, 0.01)
-            structured = illumination_fidelity_exact(d, 0.01, 0.01, method="structured")
-            assert auto == pytest.approx(structured, abs=1e-10)
+            assert auto == illumination_fidelity_exact(d, 0.01, 0.01, method="structured")
+
+    def test_structured_route_matches_mpmath(self):
+        # the dense 50-digit eigensolve at d <= 3, the eigenvalue families with
+        # a 50-digit block eigensolve at larger d; eta spans [0, 1], b reaches 0
+        for d in (1, 2, 3, 8, 12):
+            ref = _illumination_fidelity_dense_mp if d <= 3 else _illumination_fidelity_block_mp
+            for eta in (0.0, 1e-3, 0.3, 1.0):
+                for b in (0.0, 1e-9, 1e-3, 0.05):
+                    got = illumination_fidelity_exact(d, eta, b, method="structured")
+                    assert abs(got - ref(d, eta, b)) <= 1e-15, (d, eta, b)
+
+    def test_auto_matches_generic_on_the_benchmark_band(self):
+        # d = 8, b in [5e-4, 2e-3], eta in [5e-5, 1.2e-2]: the illumination table's inputs
+        for b in (5e-4, 1.2e-3, 2e-3):
+            for eta in (5e-5, 1e-3, 6e-3, 1.2e-2):
+                generic = illumination_fidelity_exact(8, eta, b, method="generic")
+                assert abs(illumination_fidelity_exact(8, eta, b) - generic) <= 1e-12
 
     def test_thermal_occupation_limit(self):
         with pytest.raises(ValueError, match="d\\*b"):
@@ -183,13 +231,20 @@ class TestIlluminationBound:
             illumination_bound(1, 0, 0.1)
         with pytest.raises(ValueError):
             illumination_bound(1, 2, 1.5)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"count n=1\.5 must be an integer"):
             illumination_bound(1.5, 2, 0.1)
+        for d in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match="mode count"):
+                illumination_bound(1, d, 0.1)
 
 
-# (d, eta, b) and the check that must fire: d < 1, b < 0, d*b = 1, eta < 0, eta > 1
+# (d, eta, b) and the check that must fire: d < 1, d not an integer (float or
+# bool), b < 0, d*b = 1, eta < 0, eta > 1
 _BAD_ILLUMINATION = (
     ((0, 0.01, 1e-3), "mode count"),
+    ((1.5, 0.01, 1e-3), "mode count"),
+    ((2.0, 0.01, 1e-3), "mode count"),
+    ((True, 0.01, 1e-3), "mode count"),
     ((2, 0.01, -1e-3), "thermal"),
     ((2, 0.01, 0.5), "thermal"),
     ((2, -0.1, 1e-3), "reflectivity"),
@@ -276,7 +331,8 @@ class TestMetrologyBound:
             metrology_bound(0, 1.0)
         with pytest.raises(ValueError):
             metrology_bound(1, -0.5)
-        with pytest.raises(ValueError, match="integers"):
+        # the one-count check names only the count it was given
+        with pytest.raises(ValueError, match=r"^count n=1\.5 must be an integer >= 1$"):
             metrology_bound(1.5, 1.0)
 
 
@@ -343,7 +399,7 @@ class TestFiniteKeyRate:
             KeyRateParams(2, 0.01, epsilon=1.0)
         with pytest.raises(ValueError):
             KeyRateParams(2, 0.01, c=0.0)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"count n=1\.5 must be an integer"):
             KeyRateParams(2, 1e-3, n=1.5)
 
 

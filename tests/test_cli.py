@@ -169,6 +169,8 @@ class TestGoldenTables:
             (["keyrate", "--d", "3"], "keyrate_d3.csv"),
             (["resolution"], "resolution_default.csv"),
             (["illumination"], "illumination_default.csv"),
+            (["illumination", "--d", "8", "--b", "0.0015", "--eta-min", "1e-4", "--eta-max", "0.0085"],
+             "illumination_d8.csv"),
             (["metrology"], "metrology_default.csv"),
         ],
     )
