@@ -22,34 +22,17 @@ from .applications import (
     resolution_chois,
     resolution_fidelity,
 )
-from .channels import (
-    ChoiMatrix,
-    KrausChannel,
-    amplitude_damping,
-    choi,
-    depolarizing,
-)
+from .channels import ChoiMatrix, KrausChannel, amplitude_damping, choi
 from .discrimination import (
     BoundReport,
     ad_discrimination_sweep,
     ad_fidelity,
-    block_bounds_ad,
-    bound_B,
-    bound_B_analytic_M,
     bound_B_near_identity,
     bound_B_optimized,
     d_upper_fuchs,
-    d_upper_pinsker,
-    d_upper_subadd,
     default_m_grid,
 )
-from .linalg import (
-    DensityMatrix,
-    fidelity,
-    psd_sqrt,
-    relative_entropy,
-    trace_norm,
-)
+from .linalg import DensityMatrix, fidelity, psd_sqrt
 from .pbt import (
     delta_ad,
     delta_exact_qubit,

@@ -15,6 +15,7 @@ import numpy as np
 from .channels import _check_dim
 from .discrimination import BoundReport, _check_counts, _report, bound_B_near_identity
 from .linalg import DensityMatrix, fidelity
+from .pbt import _check_ports
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +134,16 @@ def _illumination_fidelity_structured(d: int, eta: float, b: float) -> float:
     return min(F / (d + 1), 1.0)
 
 
-def illumination_fidelity_exact(d: int, eta: float, b: float, method: str = "auto") -> float:
+def illumination_fidelity_exact(d: int, eta: float, b: float, method: str = "structured") -> float:
     """Fidelity of the target-absent/present pair.
 
-    'auto' and 'structured' take the O(1) closed form at every d, within 3e-16
+    'structured' takes the O(1) closed form at every d, within 3e-16
     absolute of 50-digit mpmath for d <= 3000, eta in [0, 1], b in [0, 0.05].
     'generic' diagonalizes the (d+1)^2-dim pair; psd_sqrt zeroes sigma's
     eigenvalues b/(d+1) below TOL_PSD, which puts it up to 8e-6 off at b = 1e-9.
     """
     _check_illumination(d, eta, b)
-    if method not in ("auto", "structured", "generic"):
+    if method not in ("structured", "generic"):
         raise ValueError(f"unknown method {method!r}")
     if method == "generic":
         return fidelity(*illumination_chois(d, eta, b))
@@ -302,12 +303,12 @@ def key_rate_bound_finite(params: KeyRateParams, M: int, delta: float) -> KeyRat
 
     gamma = n delta + epsilon. (g, h) = (4 gamma, 2 H2(gamma)) for REE and
     (16 sqrt(gamma), 2 H2(2 sqrt(gamma))) for SE; the bound is only defined
-    while the H2 argument stays in [0, 1], flagged invalid otherwise.
+    while the H2 argument stays in [0, 1], flagged invalid otherwise. M must
+    be an integer port count >= 2 and delta a diamond distance in [0, 2].
     """
-    if M < 2:
-        raise ValueError(f"port count {M} must be >= 2")
-    if delta < 0.0:
-        raise ValueError(f"simulation error {delta} must be nonnegative")
+    _check_ports(M)
+    if not 0.0 <= delta <= 2.0:
+        raise ValueError(f"simulation error {delta} outside [0, 2]")
     gamma = params.n * delta + params.epsilon
     report = {"M": M, "delta": delta, "gamma": gamma, "measure": params.measure}
     h2_arg = gamma if params.measure == "REE" else 2.0 * sqrt(gamma)
@@ -343,20 +344,13 @@ def m_tilde(d: int, e_r: float) -> float:
     return sqrt(2.0 * d * (d - 1) * log2(d) / e_r)
 
 
-def key_rate_minimize_m(
-    d: int, e_r: float, M_grid: list[int] | None = None
-) -> tuple[int, float]:
-    """Scan a port-count grid for the smallest asymptotic bound.
+def key_rate_minimize_m(d: int, e_r: float) -> tuple[int, float]:
+    """Scan M = 2 .. max(ceil(4 m_tilde), 8) for the smallest asymptotic bound.
 
-    Default grid runs from 2 to 4 m_tilde, wide enough to bracket the interior
-    minimum; e_r = 0 has no finite minimizer, so a grid must then be given.
+    The grid is wide enough to bracket the interior minimum; e_r = 0 has no
+    finite minimizer and is rejected by m_tilde.
     """
-    if M_grid is None:
-        if e_r <= 0.0:
-            raise ValueError("supply M_grid explicitly when e_r = 0")
-        M_grid = range(2, max(ceil(4.0 * m_tilde(d, e_r)), 8) + 1)
-    if not M_grid:
-        raise ValueError("port-count grid is empty")
+    M_grid = range(2, max(ceil(4.0 * m_tilde(d, e_r)), 8) + 1)
     values = {M: key_rate_bound_asymptotic(d, e_r, M) for M in M_grid}
     best = min(values, key=values.get)
     return best, values[best]

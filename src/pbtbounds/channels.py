@@ -99,30 +99,3 @@ def amplitude_damping(p: float) -> KrausChannel:
     K0 = np.array([[1.0, 0.0], [0.0, sqrt(1.0 - p)]], dtype=complex)
     K1 = np.array([[0.0, sqrt(p)], [0.0, 0.0]], dtype=complex)
     return KrausChannel((K0, K1), 2, 2)
-
-
-def _weyl(d: int, a: int, b: int) -> Array:
-    """Weyl (generalized Pauli) operator X^a Z^b on d dimensions."""
-    omega = np.exp(2j * np.pi / d)
-    X = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    Z = np.diag(omega ** np.arange(d))
-    return np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
-
-
-def depolarizing(xi: float, d: int) -> KrausChannel:
-    """Depolarizing channel rho -> (1 - xi) rho + xi I/d.
-
-    Kraus set: the identity with weight 1 - xi + xi/d^2 plus the remaining
-    d^2 - 1 Weyl operators with weight xi/d^2, using the twirl identity
-    I/d = d^{-2} sum_{a,b} W_ab rho W_ab^dag.
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"depolarizing probability {xi} outside [0, 1]")
-    _check_dim(d)
-    ops = [sqrt(1.0 - xi + xi / d**2) * np.eye(d, dtype=complex)]
-    for a in range(d):
-        for b in range(d):
-            if a == 0 and b == 0:
-                continue
-            ops.append(sqrt(xi) / d * _weyl(d, a, b))
-    return KrausChannel(tuple(ops), d, d)

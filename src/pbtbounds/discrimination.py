@@ -9,15 +9,12 @@ upper bound on the block trace distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, isfinite, log, sqrt
+from math import exp, log, sqrt
 
 import numpy as np
 
 from .channels import _check_dim
-from .pbt import _ad_factor, delta_upper, simulation_error, xi
-
-# ln sqrt(2): converts relative entropy in bits to the Pinsker radicand.
-_LN_SQRT2 = 0.5 * log(2.0)
+from .pbt import _ad_factor, simulation_error, xi
 
 
 @dataclass(frozen=True)
@@ -86,56 +83,6 @@ def d_upper_fuchs(F: float, n: int, M: int) -> float:
     return _fuchs(F, 2.0 * n * M)
 
 
-def d_upper_subadd(choi_dist: float, n: int, M: int) -> float:
-    """Subadditivity bound nM * ||rho_0 - rho_1||_1 (uncapped; caller clamps)."""
-    if choi_dist < 0.0:
-        raise ValueError(f"trace norm {choi_dist} must be nonnegative")
-    _check_counts(n, M)
-    return n * M * choi_dist
-
-
-def d_upper_pinsker(s_min: float, n: int, M: int) -> float:
-    """Pinsker bound sqrt(nM ln(sqrt 2) S_min), S_min in bits; inf passes through."""
-    if s_min < 0.0:
-        raise ValueError(f"relative entropy {s_min} must be nonnegative")
-    _check_counts(n, M)
-    return sqrt(n * M * _LN_SQRT2 * s_min)
-
-
-def bound_B(n: int, M: int, delta: float, d_estimate: float) -> BoundReport:
-    """Universal lower bound (1 - n*delta - D)/2 on the adaptive error.
-
-    delta may be the universal simulation error delta_M or, for a fixed
-    channel pair, the average delta_bar of the two per-channel diamond errors;
-    delta_bar <= delta_M, so the pair bound is at least as strong.
-    """
-    _check_counts(n, M)
-    if not 0.0 <= delta <= 2.0:
-        raise ValueError(f"simulation error {delta} outside [0, 2]")
-    if d_estimate < 0.0:
-        raise ValueError(f"distance estimate {d_estimate} must be nonnegative")
-    raw = _raw_bound(n, delta, d_estimate)
-    return _report("bound_B", raw, {"n": n, "M": M, "delta": delta, "d_estimate": d_estimate})
-
-
-def _d_estimate_min(
-    n: int, M: int, F: float | None, choi_dist: float | None, s_min: float | None
-) -> tuple[float, str]:
-    """Tightest available trace-distance estimate and the estimator that won."""
-    candidates = {}
-    if F is not None:
-        candidates["fuchs"] = d_upper_fuchs(F, n, M)
-    if choi_dist is not None:
-        candidates["subadd"] = d_upper_subadd(choi_dist, n, M)
-    if s_min is not None:
-        candidates["pinsker"] = d_upper_pinsker(s_min, n, M)
-    finite = {k: v for k, v in candidates.items() if isfinite(v)}
-    if not finite:
-        raise ValueError("no finite trace-distance estimator input supplied")
-    best = min(finite, key=finite.get)
-    return finite[best], best
-
-
 def default_m_grid(n: int, d: int) -> list[int]:
     """Small-M territory plus the analytic-scaling region around 4d(d-1)n."""
     grid = set(range(2, 65))
@@ -143,46 +90,26 @@ def default_m_grid(n: int, d: int) -> list[int]:
     return sorted(grid)
 
 
-def bound_B_optimized(
-    n: int,
-    d: int,
-    M_grid: list[int] | None = None,
-    F: float | None = None,
-    choi_dist: float | None = None,
-    s_min: float | None = None,
-) -> BoundReport:
-    """bound_B maximized over a port-count grid.
+def bound_B_optimized(n: int, d: int, F: float) -> BoundReport:
+    """(1 - n*delta - D)/2 maximized over default_m_grid(n, d), D = d_upper_fuchs.
 
     delta comes from pbt.simulation_error (exact for d=2, the capped
-    2d(d-1)/M bound otherwise); the winning M and estimator and the delta
+    2d(d-1)/M bound otherwise); the winning M, the estimator and the delta
     provenance are recorded in params.
     """
-    if M_grid is None:
-        M_grid = default_m_grid(n, d)
-    if not M_grid:
-        raise ValueError("port-count grid is empty")
     best = None
-    for M in M_grid:
+    for M in default_m_grid(n, d):
         delta, provenance = simulation_error(M, d)
-        d_est, estimator = _d_estimate_min(n, M, F, choi_dist, s_min)
+        d_est = d_upper_fuchs(F, n, M)
         raw = _raw_bound(n, delta, d_est)
         if best is None or raw > best[0]:
-            best = (raw, M, estimator, delta, provenance, d_est)
-    raw, M, estimator, delta, provenance, d_est = best
+            best = (raw, M, delta, provenance, d_est)
+    raw, M, delta, provenance, d_est = best
     params = {
-        "n": n, "d": d, "M": M, "estimator": estimator, "delta": delta,
+        "n": n, "d": d, "M": M, "estimator": "fuchs", "delta": delta,
         "delta_provenance": provenance, "d_estimate": d_est,
     }
     return _report("bound_B_optimized", raw, params)
-
-
-def bound_B_analytic_M(n: int, d: int, F: float) -> BoundReport:
-    """bound_B at the port choice M = 4d(d-1)n with the generic delta and the
-    Fuchs estimator; there n*delta = 1/2, so it equals (1 - 2D)/4."""
-    _check_counts(n)
-    _check_dim(d)
-    M = 4 * d * (d - 1) * n
-    return bound_B(n, M, delta_upper(M, d), d_upper_fuchs(F, n, M))
 
 
 def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
@@ -211,27 +138,16 @@ def ad_fidelity(p0: float, p1: float) -> float:
     return (1.0 + sqrt((1.0 - p0) * (1.0 - p1)) + sqrt(p0 * p1)) / 2.0
 
 
-def block_bounds_ad(p0: float, p1: float, n: int) -> tuple[float, float]:
-    """Optimal block-protocol error window for an amplitude damping pair."""
-    _check_counts(n)
-    return _block_window(ad_fidelity(p0, p1), n)
-
-
-def _block_window(F: float, n: int) -> tuple[float, float]:
-    lower = (1.0 - _fuchs(F, 2.0 * n)) / 2.0
-    upper = _pow(F, float(n)) / 2.0
-    return lower, upper
-
-
 def ad_discrimination_sweep(
     p_grid: list[float], dp: float, n: int, M_grid: list[int]
 ) -> list[dict]:
     """Per-p bound table for discriminating damping p from p + dp.
 
-    Each row carries the block-protocol window, the lower bound at every
-    fixed M in M_grid with the pair-average simulation error delta_bar
-    (see bound_B), and the bound maximized over M (grid extended so the
-    maximum always dominates the fixed columns).
+    Each row carries the optimal block-protocol error window
+    [(1 - sqrt(1 - F^{2n}))/2, F^n/2], the lower bound (1 - n*delta_bar - D)/2
+    at every fixed M in M_grid with the pair-average simulation error
+    delta_bar <= delta_M of the two channels, and the bound maximized over M
+    (grid extended so the maximum always dominates the fixed columns).
     """
     if not p_grid or not M_grid:
         raise ValueError("parameter grids must be nonempty")
@@ -247,8 +163,11 @@ def ad_discrimination_sweep(
         F = ad_fidelity(p0, p1)
         _check_fidelity(F)  # once per row; n < 1 already failed xi on the grid
         log_f = log(F) if 0.0 < F < 1.0 else None
-        block_lower, block_upper = _block_window(F, n)
-        row = {"p": p, "block_lower": block_lower, "block_upper": block_upper}
+        row = {
+            "p": p,
+            "block_lower": (1.0 - _fuchs(F, 2.0 * n, log_f)) / 2.0,
+            "block_upper": _pow(F, float(n), log_f) / 2.0,
+        }
         f0, f1 = _ad_factor(p0), _ad_factor(p1)
         values = {}
         for M, x in xis.items():

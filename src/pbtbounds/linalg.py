@@ -1,6 +1,6 @@
 """Hermitian linear algebra primitives for density-matrix numerics.
 
-All states are dense complex matrices. Entropic quantities are in bits.
+All states are dense complex matrices.
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def trace_norm(A) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    mat = _as_matrix(A)
-    if np.abs(mat - mat.conj().T).max() > TOL_HERM:
-        raise ValueError("trace_norm requires a Hermitian matrix")
-    return float(np.abs(np.linalg.eigvalsh(mat)).sum())
-
-
 def psd_sqrt(A) -> Array:
     """Matrix square root of a PSD matrix.
 
@@ -97,26 +89,3 @@ def fidelity(rho, sigma) -> float:
 def _partial_trace_2(mat, dims, keep: int) -> Array:
     """Marginal of a two-factor matrix on factor `keep` (0 or 1)."""
     return np.trace(mat.reshape(dims + dims), axis1=1 - keep, axis2=3 - keep)
-
-
-def relative_entropy(rho, sigma) -> float:
-    """Relative entropy S(rho||sigma) = Tr[rho (log2 rho - log2 sigma)] in bits.
-
-    Returns +inf when the support of rho is not contained in the support of
-    sigma (weight above TOL_PSD on a sigma eigenvector whose eigenvalue is
-    below TOL_PSD).
-    """
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    s_vals, s_vecs = np.linalg.eigh(b)
-    weights = np.einsum("ij,jk,ki->i", s_vecs.conj().T, a, s_vecs).real
-    weights = np.clip(weights, 0.0, None)
-    for s, w in zip(s_vals, weights):
-        if s < TOL_PSD and w > TOL_PSD:
-            return float("inf")
-    r_vals = np.linalg.eigvalsh(a)
-    ent_rho = sum(r * np.log2(r) for r in r_vals if r > TOL_PSD)
-    cross = sum(w * np.log2(s) for s, w in zip(s_vals, weights) if w > TOL_PSD)
-    value = float(ent_rho - cross)
-    return max(value, 0.0) if value > -TOL_NUM else value

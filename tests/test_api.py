@@ -1,23 +1,26 @@
-"""Public surface: every exported name is used somewhere outside the tests.
+"""Public surface and imports, checked by AST in place of a linter.
 
-References are collected by AST from the library modules, the scripts and
-the benchmark: bare names, attribute names, and the last part of dotted
-"module.fn" string constants (the benchmark names its ops that way).
+Every exported name is used somewhere outside the tests. References are
+collected from the library modules, the scripts and the benchmark: bare
+names, attribute names, and the last part of dotted "module.fn" string
+constants (the benchmark names its ops that way). Every name a library
+module imports is used in that module.
 """
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pbtbounds"
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
-# exported without a caller outside the tests: the README example uses
-# block_bounds_ad, the tests build their reference channels and distances with
-# depolarizing, trace_norm and relative_entropy, and the planned channel-pair
-# layer is to call them together with bound_B_analytic_M
-UNREFERENCED = {"block_bounds_ad", "bound_B_analytic_M", "depolarizing", "relative_entropy", "trace_norm"}
+# exported without a caller outside the tests: none. A name only the tests
+# need lives in the tests (the depolarizing reference channel is in conftest);
+# a new estimator or channel is exported together with its first caller.
+UNREFERENCED = set()
 
 
 def _exports() -> set[str]:
@@ -41,5 +44,24 @@ def _references() -> set[str]:
     return names
 
 
-def test_exports_without_a_caller_are_the_known_few():
+def test_every_export_has_a_caller_outside_the_tests():
     assert _exports() - _references() == UNREFERENCED
+
+
+def _unused_imports(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_library_modules_use_every_import(path):
+    assert _unused_imports(path) == set()

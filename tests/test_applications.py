@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import depolarizing
 from pbtbounds.applications import (
     KeyRateParams,
     binary_entropy,
@@ -24,7 +25,7 @@ from pbtbounds.applications import (
     resolution_chois,
     resolution_fidelity,
 )
-from pbtbounds.channels import amplitude_damping, choi, depolarizing
+from pbtbounds.channels import amplitude_damping, choi
 from pbtbounds.linalg import fidelity
 
 
@@ -151,11 +152,6 @@ class TestIlluminationStates:
                     structured = illumination_fidelity_exact(d, eta, b, method="structured")
                     assert structured == pytest.approx(generic, abs=1e-10)
 
-    def test_auto_dispatch_is_consistent(self):
-        for d in (1, 2, 8, 12):
-            auto = illumination_fidelity_exact(d, 0.01, 0.01)
-            assert auto == illumination_fidelity_exact(d, 0.01, 0.01, method="structured")
-
     def test_structured_route_matches_mpmath(self):
         # the dense 50-digit eigensolve at d <= 3, the eigenvalue families with
         # a 50-digit block eigensolve at larger d; eta spans [0, 1], b reaches 0
@@ -166,7 +162,7 @@ class TestIlluminationStates:
                     got = illumination_fidelity_exact(d, eta, b, method="structured")
                     assert abs(got - ref(d, eta, b)) <= 1e-15, (d, eta, b)
 
-    def test_auto_matches_generic_on_the_benchmark_band(self):
+    def test_default_matches_generic_on_the_benchmark_band(self):
         # d = 8, b in [5e-4, 2e-3], eta in [5e-5, 1.2e-2]: the illumination table's inputs
         for b in (5e-4, 1.2e-3, 2e-3):
             for eta in (5e-5, 1e-3, 6e-3, 1.2e-2):
@@ -178,8 +174,9 @@ class TestIlluminationStates:
             illumination_chois(2, 0.01, 0.5)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            illumination_fidelity_exact(2, 0.01, 0.01, method="magic")
+        for method in ("magic", "auto"):
+            with pytest.raises(ValueError, match="method"):
+                illumination_fidelity_exact(2, 0.01, 0.01, method=method)
 
 
 class TestIlluminationApprox:
@@ -402,6 +399,19 @@ class TestFiniteKeyRate:
         with pytest.raises(ValueError, match=r"count n=1\.5 must be an integer"):
             KeyRateParams(2, 1e-3, n=1.5)
 
+    def test_rejects_non_integer_port_count(self):
+        params = KeyRateParams(2, 0.01)
+        for M in (2.5, np.float64(7.0)):
+            with pytest.raises(ValueError, match="port count"):
+                key_rate_bound_finite(params, M, 0.0)
+        assert key_rate_bound_finite(params, np.int64(7), 0.0).value == 7 * 0.01
+
+    def test_rejects_delta_above_any_diamond_distance(self):
+        params = KeyRateParams(2, 0.01)
+        with pytest.raises(ValueError, match="simulation error"):
+            key_rate_bound_finite(params, 4, 3.0)
+        assert not key_rate_bound_finite(params, 4, 2.0).valid
+
 
 class TestAsymptoticKeyRate:
     def test_vanishes_for_perfect_channels_and_many_ports(self):
@@ -437,11 +447,9 @@ class TestAsymptoticKeyRate:
         decreasing = [i for i in range(len(vals) - 1) if vals[i + 1] < vals[i] - 1e-12]
         assert decreasing == list(range(len(decreasing)))
 
-    def test_zero_entanglement_needs_explicit_grid(self):
-        with pytest.raises(ValueError, match="M_grid"):
+    def test_zero_entanglement_has_no_minimizer(self):
+        with pytest.raises(ValueError, match="no finite port count"):
             key_rate_minimize_m(2, 0.0)
-        best_m, _ = key_rate_minimize_m(2, 0.0, [10, 100])
-        assert best_m == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -452,8 +460,6 @@ class TestAsymptoticKeyRate:
             key_rate_bound_asymptotic(2, 0.01, 1.5)
         with pytest.raises(ValueError):
             m_tilde(2, 0.0)
-        with pytest.raises(ValueError):
-            key_rate_minimize_m(2, 0.01, [])
         # REE and squashed entanglement of a d-dimensional Choi state are <= log2 d
         for d, e_r in ((2, 1.5), (3, 3.0), (4, 2.0 + 1e-12)):
             with pytest.raises(ValueError, match="e_r"):

@@ -1,17 +1,11 @@
-"""Kraus channels, Choi matrices, and the two model channels."""
+"""Kraus channels, Choi matrices, amplitude damping and the depolarizing reference channel."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import density_matrices, isometry_channel, probabilities
-from pbtbounds.channels import (
-    ChoiMatrix,
-    KrausChannel,
-    amplitude_damping,
-    choi,
-    depolarizing,
-)
+from conftest import density_matrices, depolarizing, isometry_channel, probabilities
+from pbtbounds.channels import ChoiMatrix, KrausChannel, amplitude_damping, choi
 from pbtbounds.linalg import DensityMatrix, _partial_trace_2
 
 

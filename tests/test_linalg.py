@@ -1,4 +1,4 @@
-"""Density-matrix primitives: construction guards, metrics, entropies."""
+"""Density-matrix primitives: construction guards, fidelity, partial trace."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from pbtbounds.linalg import (
     _partial_trace_2,
     fidelity,
     psd_sqrt,
-    relative_entropy,
-    trace_norm,
 )
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -68,15 +66,6 @@ class TestDensityMatrix:
 
 
 class TestMetrics:
-    def test_trace_norm_known_value(self):
-        assert trace_norm(np.diag([1.0, -2.0]).astype(complex)) == pytest.approx(3.0)
-
-    def test_trace_distance_orthogonal_pure_states(self):
-        assert 0.5 * trace_norm(KET0 - KET1) == pytest.approx(1.0)
-
-    def test_trace_distance_self_is_zero(self):
-        assert 0.5 * trace_norm(PLUS - PLUS) == pytest.approx(0.0, abs=1e-14)
-
     def test_fidelity_pure_states(self):
         assert fidelity(KET0, PLUS) == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert fidelity(KET0, KET0) == pytest.approx(1.0, abs=1e-12)
@@ -103,7 +92,7 @@ class TestMetrics:
 @given(density_matrices(dims=(2, 2)), density_matrices(dims=(2, 2)))
 def test_fuchs_van_de_graaf(rho, sigma):
     F = fidelity(rho, sigma)
-    D = 0.5 * trace_norm(rho.matrix - sigma.matrix)
+    D = 0.5 * np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum()
     assert 1.0 - F <= D + TOL_NUM
     assert D <= np.sqrt(max(1.0 - F * F, 0.0)) + TOL_NUM
 
@@ -114,27 +103,6 @@ def test_fidelity_symmetric_and_bounded(rho, sigma):
     F = fidelity(rho, sigma)
     assert 0.0 <= F <= 1.0
     assert abs(F - fidelity(sigma, rho)) < 1e-11
-
-
-@settings(max_examples=40, deadline=None)
-@given(density_matrices(dims=(2, 2)), density_matrices(dims=(2, 2)))
-def test_relative_entropy_nonnegative(rho, sigma):
-    # strategy keeps sigma full rank, so the value is finite
-    s = relative_entropy(rho, sigma)
-    assert s >= 0.0
-    assert np.isfinite(s)
-
-
-class TestRelativeEntropy:
-    def test_self_is_zero(self):
-        rho = np.diag([0.3, 0.7]).astype(complex)
-        assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_pure_vs_maximally_mixed(self):
-        assert relative_entropy(KET0, np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_support_violation_is_infinite(self):
-        assert relative_entropy(KET1, KET0) == np.inf
 
 
 class TestPartialTrace:

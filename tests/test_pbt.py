@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import isometry_channel
+from conftest import depolarizing, isometry_channel
 from pbtbounds import pbt
-from pbtbounds.channels import amplitude_damping, choi, depolarizing
+from pbtbounds.channels import amplitude_damping, choi
 from pbtbounds.pbt import (
     delta_ad,
     delta_exact_qubit,
