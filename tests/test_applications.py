@@ -152,6 +152,11 @@ class TestIlluminationStates:
                     structured = illumination_fidelity_exact(d, eta, b, method="structured")
                     assert structured == pytest.approx(generic, abs=1e-10)
 
+    def test_default_method_is_structured(self):
+        for d in (1, 2, 8, 12):
+            default = illumination_fidelity_exact(d, 0.01, 0.01)
+            assert default == illumination_fidelity_exact(d, 0.01, 0.01, method="structured")
+
     def test_structured_route_matches_mpmath(self):
         # the dense 50-digit eigensolve at d <= 3, the eigenvalue families with
         # a 50-digit block eigensolve at larger d; eta spans [0, 1], b reaches 0
@@ -411,6 +416,12 @@ class TestFiniteKeyRate:
         with pytest.raises(ValueError, match="simulation error"):
             key_rate_bound_finite(params, 4, 3.0)
         assert not key_rate_bound_finite(params, 4, 2.0).valid
+
+    def test_rejects_negative_delta(self):
+        params = KeyRateParams(2, 0.01)
+        with pytest.raises(ValueError, match="simulation error"):
+            key_rate_bound_finite(params, 4, -1e-9)
+        assert key_rate_bound_finite(params, 4, 0.0).valid
 
 
 class TestAsymptoticKeyRate:

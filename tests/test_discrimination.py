@@ -10,6 +10,8 @@ from pbtbounds.discrimination import (
     ad_discrimination_sweep,
     ad_fidelity,
     bound_B_near_identity,
+    _raw_bound,
+    _report,
     bound_B_optimized,
     d_upper_fuchs,
     default_m_grid,
@@ -66,7 +68,13 @@ class TestBoundBOptimized:
             report = bound_B_optimized(n, d, F=0.9999)
             got = (report.params["delta"], report.params["delta_provenance"])
             assert got == simulation_error(report.params["M"], d)
-            assert report.params["estimator"] == "fuchs"
+
+    def test_estimator_selection_recorded(self):
+        # the recorded estimate is the Fuchs bound at the winning port count
+        for n, d, F in ((2, 2, 0.99), (5, 3, 0.9999), (1, 4, 0.5)):
+            params = bound_B_optimized(n, d, F=F).params
+            assert params["estimator"] == "fuchs"
+            assert params["d_estimate"] == d_upper_fuchs(F, n, params["M"])
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="fidelity"):
@@ -78,6 +86,67 @@ class TestBoundBOptimized:
         grid = default_m_grid(5, 2)
         assert grid[0] == 2 and 64 in grid
         assert 4 * 2 * 1 * 5 in grid  # the analytic port choice
+
+
+# (n, d, F) -> value, raw, M, delta provenance of the scan with a choice of
+# estimator and grid; the Fuchs-only default-grid scan reproduces them exactly
+RECORDED = [
+    ((1, 2, 0.5), 0.0, -0.011586826005207163, 64, "closed_form"),
+    ((2, 3, 0.9999), 0.2779511526737315, 0.2779511526737315, 96, "upper_bound"),
+    ((5, 2, 0.9999), 0.31762112459788805, 0.31762112459788805, 62, "closed_form"),
+    ((20, 4, 1 - 1e-3 / 20**2), 0.16601834435571233, 0.16601834435571233, 1920, "upper_bound"),
+    ((200, 3, 1.0), 0.375, 0.375, 9600, "upper_bound"),
+    ((2000, 2, 1 - 1e-3 / 2000**2), 0.36439417012070446, 0.36439417012070446, 32000, "closed_form"),
+]
+
+
+@pytest.mark.parametrize(("args", "value", "raw", "M", "provenance"), RECORDED, ids=[f"n{r[0][0]}-d{r[0][1]}" for r in RECORDED])
+def test_recorded_values(args, value, raw, M, provenance):
+    n, d, F = args
+    report = bound_B_optimized(n, d, F=F)
+    params = report.params
+    assert (report.value, params["raw"], params["M"], params["delta_provenance"]) == (value, raw, M, provenance)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_optimized_beats_analytic_port_choice(d):
+    # M = 4d(d-1)n is on the default grid and has n delta_M <= 1/2, so the
+    # optimum is at least the closed form (1 - 2 sqrt(1 - F^{8d(d-1)n^2}))/4
+    for n in (1, 3, 20):
+        for F in (0.5, 0.999, 0.9999, 1.0):
+            analytic = (1 - 2 * sqrt(1 - F ** (8 * d * (d - 1) * n * n))) / 4
+            assert bound_B_optimized(n, d, F=F).value >= max(analytic, 0.0) - 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 50),
+    st.integers(2, 4),
+    st.floats(0.0, 1.0, allow_nan=False),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+def test_optimized_monotone_in_fidelity(n, d, F0, F1):
+    # each fixed-M bound grows with F, so their maximum does too
+    lo, hi = sorted((F0, F1))
+    assert bound_B_optimized(n, d, F=lo).value <= bound_B_optimized(n, d, F=hi).value + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 50),
+    st.floats(0.0, 2.0, allow_nan=False, width=32),
+    st.floats(0.0, 1.0, allow_nan=False, width=32),
+    st.floats(0.0, 0.5, allow_nan=False, width=32),
+)
+def test_bound_monotone_in_delta_and_estimate(n, delta, d_est, bump):
+    def bound(delta, d_est):
+        return _report("B", _raw_bound(n, delta, d_est), {})
+
+    base = bound(delta, d_est)
+    assert 0.0 <= base.value <= 0.5
+    assert base.valid == (base.params["raw"] > 0.0)
+    assert bound(min(delta + bump, 2.0), d_est).value <= base.value + 1e-12
+    assert bound(delta, d_est + bump).value <= base.value + 1e-12
 
 
 class TestNearIdentity:
@@ -148,6 +217,17 @@ class TestTightened:
             for p0, p1 in ((0.8, 0.81), (0.5, 0.6), (0.9, 0.99)):
                 delta_bar = (delta_ad(M, p0) + delta_ad(M, p1)) / 2
                 assert delta_bar <= delta_exact_qubit(M) + 1e-12
+
+    def test_ad_average_never_hurts(self):
+        # the fixed-M column with delta_bar is never below the same bound with
+        # the universal delta_M; n = 2 keeps most columns off the clamp
+        n, grid = 2, [3, 10, 40]
+        for p0, p1 in ((0.8, 0.81), (0.5, 0.6), (0.9, 0.99)):
+            row = ad_discrimination_sweep([p0], p1 - p0, n, grid)[0]
+            F = ad_fidelity(p0, p1)
+            for M in grid:
+                generic = (1 - n * delta_exact_qubit(M) - d_upper_fuchs(F, n, M)) / 2
+                assert row[f"lb_M{M}"] >= min(max(generic, 0.0), 0.5) - 1e-12
 
 
 class TestSweep:
