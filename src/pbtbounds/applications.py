@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import _check_dim
 from .discrimination import BoundReport, _check_counts, _report, bound_B_near_identity
-from .linalg import DensityMatrix, fidelity
+from .linalg import DensityMatrix, _as_matrix, fidelity
 from .pbt import _check_ports
 
 
@@ -199,30 +199,44 @@ class QfiEstimate:
     fine: float
 
 
-def _qfi_single_step(choi_at, theta: float, h: float) -> float:
-    """4 d_B^2(rho(theta-h/2), rho(theta+h/2)) / h^2."""
-    a = choi_at(theta - h / 2.0)
-    b = choi_at(theta + h / 2.0)
-    F = fidelity(a, b)
-    if not isfinite(F):
+def _qfi_from_fidelities(F_coarse: float, F_fine: float, dtheta: float) -> QfiEstimate:
+    """Richardson-combine the single-step QFIs 8 (1 - F) / h^2 = 4 d_B^2 / h^2.
+
+    F_coarse and F_fine are the fidelities of the states at theta -/+ h / 2
+    for h = dtheta and h = dtheta / 2.
+    """
+    F_coarse, F_fine = float(F_coarse), float(F_fine)
+    if not (isfinite(F_coarse) and isfinite(F_fine)):
         raise ValueError("fidelity of the channel family is not finite")
-    return 8.0 * (1.0 - F) / h**2
+    coarse = 8.0 * (1.0 - F_coarse) / dtheta**2
+    fine = 8.0 * (1.0 - F_fine) / (dtheta / 2.0) ** 2
+    value = (4.0 * fine - coarse) / 3.0
+    sensitivity = abs(fine - coarse) / coarse if coarse > 0.0 else 0.0
+    return QfiEstimate(value, sensitivity, coarse, fine)
 
 
-def qfi_choi(choi_at, theta: float, dtheta: float = 1e-3) -> QfiEstimate:
+def qfi_choi(
+    choi_at, theta: float | np.ndarray, dtheta: float = 1e-3
+) -> QfiEstimate | list[QfiEstimate]:
     """Quantum Fisher information of a Choi-matrix family at theta.
 
     Central Bures-distance differences at steps dtheta and dtheta/2 combined
     by Richardson extrapolation; the relative change between the two steps is
-    reported so callers can see discretization trouble.
+    reported so callers can see discretization trouble. choi_at is called at
+    the four points theta -/+ h / 2 and the four states go through one
+    fidelity call. theta may also be a 1-D array: choi_at then receives arrays
+    of points and returns stacks, and the result is a list with one estimate
+    per entry, each equal to the float-theta estimate.
     """
-    if dtheta <= 0.0:
-        raise ValueError(f"step {dtheta} must be positive")
-    coarse = _qfi_single_step(choi_at, theta, dtheta)
-    fine = _qfi_single_step(choi_at, theta, dtheta / 2.0)
-    value = (4.0 * fine - coarse) / 3.0
-    sensitivity = abs(fine - coarse) / coarse if coarse > 0.0 else 0.0
-    return QfiEstimate(value, sensitivity, coarse, fine)
+    if not 0.0 < dtheta < inf:
+        raise ValueError(f"step {dtheta} must be positive and finite")
+    fine = dtheta / 2.0
+    points = (theta - dtheta / 2.0, theta + dtheta / 2.0, theta - fine / 2.0, theta + fine / 2.0)
+    states = np.stack([_as_matrix(choi_at(t)) for t in points], axis=-3)
+    F = fidelity(states[..., 0::2, :, :], states[..., 1::2, :, :])
+    if np.ndim(theta) == 0:
+        return _qfi_from_fidelities(*F, dtheta)
+    return [_qfi_from_fidelities(F_coarse, F_fine, dtheta) for F_coarse, F_fine in F]
 
 
 @dataclass(frozen=True)
@@ -236,8 +250,8 @@ class MetrologyBound:
 def metrology_bound(n: int, qfi_choi_value: float) -> MetrologyBound:
     """QFI after n adaptive uses is at most n^2 times the Choi QFI."""
     _check_counts(n)
-    if qfi_choi_value < 0.0:
-        raise ValueError(f"QFI {qfi_choi_value} must be nonnegative")
+    if not 0.0 <= qfi_choi_value < inf:
+        raise ValueError(f"QFI {qfi_choi_value} must be nonnegative and finite")
     ceiling = n * n * qfi_choi_value
     return MetrologyBound(ceiling, 1.0 / ceiling if ceiling > 0.0 else inf)
 

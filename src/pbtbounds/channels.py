@@ -25,7 +25,9 @@ class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators.
 
     Each operator is d_out x d_in; completeness sum K_i^dag K_i = I is
-    enforced on construction.
+    enforced on construction. The operators may carry the same leading axes
+    (..., d_out, d_in), which makes the channel a stack of channels; finiteness
+    and completeness are then checked for every member.
     """
 
     kraus_ops: tuple[Array, ...]
@@ -38,10 +40,15 @@ class KrausChannel:
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         for K in ops:
-            if K.shape != (self.d_out, self.d_in):
+            if K.shape[-2:] != (self.d_out, self.d_in):
                 raise ValueError(f"Kraus operator shape {K.shape} != ({self.d_out}, {self.d_in})")
-        total = sum(K.conj().T @ K for K in ops)
-        if np.abs(total - np.eye(self.d_in)).max() > TOL_NUM:
+            if K.shape != ops[0].shape:
+                raise ValueError(f"Kraus operator shapes {K.shape} and {ops[0].shape} differ")
+        total = sum(K.conj().swapaxes(-1, -2) @ K for K in ops)
+        # a NaN or inf entry makes the deviation NaN or inf, so valid sets skip the scan
+        if not np.abs(total - np.eye(self.d_in)).max() <= TOL_NUM:
+            if not all(np.isfinite(K).all() for K in ops):
+                raise ValueError("Kraus operators contain non-finite entries")
             raise ValueError("Kraus operators do not satisfy completeness")
 
 
@@ -76,26 +83,36 @@ class ChoiMatrix:
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
-    """Choi state (I tensor E)(Phi) of the channel.
+    """Choi state (I tensor E)(Phi) of the channel, or the stack of them.
 
     Built from vectors: w_K = K.T.reshape(-1) is (I (x) K) sum_k |kk>, so
     J = sum_K (w_K phi) w_K^dag with phi = d^{-1/2} d^{-1/2}, the entry of Phi.
     These are the products the matrix route (I (x) K) Phi (I (x) K)^dag
     forms, so J equals it bit for bit for real Kraus operators and to
-    rounding (~1e-17) for complex ones. J is validated once.
+    rounding (~1e-17) for complex ones. A stacked channel gives a stacked J
+    whose members equal the single-channel J bit for bit. J is validated once.
     """
     phi = (1.0 / sqrt(ch.d_in)) * (1.0 / sqrt(ch.d_in))
     out = 0
     for K in ch.kraus_ops:
-        w = K.T.reshape(-1)
-        out = out + np.outer(w * phi, w.conj())
+        w = K.swapaxes(-1, -2).reshape(K.shape[:-2] + (-1,))
+        out = out + (w * phi)[..., :, None] * w.conj()[..., None, :]
     return ChoiMatrix(DensityMatrix(out, (ch.d_in, ch.d_out)))
 
 
-def amplitude_damping(p: float) -> KrausChannel:
-    """Qubit amplitude damping with damping probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"damping probability {p} outside [0, 1]")
-    K0 = np.array([[1.0, 0.0], [0.0, sqrt(1.0 - p)]], dtype=complex)
-    K1 = np.array([[0.0, sqrt(p)], [0.0, 0.0]], dtype=complex)
+def amplitude_damping(p) -> KrausChannel:
+    """Qubit amplitude damping with damping probability p.
+
+    An array of p gives the stacked channel with Kraus operators of shape
+    p.shape + (2, 2); an offending p is named in the error (the first one).
+    """
+    p = np.asarray(p, dtype=float)
+    for q in p.reshape(-1).tolist():
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"damping probability {q} outside [0, 1]")
+    K0 = np.zeros(p.shape + (2, 2), dtype=complex)
+    K1 = np.zeros_like(K0)
+    K0[..., 0, 0] = 1.0
+    K0[..., 1, 1] = np.sqrt(1.0 - p)
+    K1[..., 0, 1] = np.sqrt(p)
     return KrausChannel((K0, K1), 2, 2)

@@ -145,11 +145,14 @@ def cmd_illumination(d: int, b: float, eta_min: float, eta_max: float, steps: in
 
 def cmd_metrology(p_min: float, p_max: float, steps: int, n: int, dtheta: float):
     columns = ["p", "qfi", "step_sensitivity", "qfi_bound", "variance_floor", "step_ok"]
-    rows = []
-    for p in _grid(p_min, p_max, steps):
+    grid = _grid(p_min, p_max, steps)
+    for p in grid:
         if not dtheta / 2 < p < 1 - dtheta / 2:
             raise ValueError(f"p={p} leaves no room for the finite-difference step")
-        est = apps.qfi_choi(lambda t: choi(amplitude_damping(t)), p, dtheta)
+    # the whole grid at once: each damping family call builds one stack of Choi states
+    estimates = apps.qfi_choi(lambda t: choi(amplitude_damping(t)), np.array(grid), dtheta)
+    rows = []
+    for p, est in zip(grid, estimates):
         bound = apps.metrology_bound(n, est.value)
         rows.append(
             [p, est.value, est.step_sensitivity, bound.qfi_upper, bound.variance_floor,

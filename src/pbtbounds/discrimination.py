@@ -149,6 +149,7 @@ def ad_discrimination_sweep(
     delta_bar <= delta_M of the two channels, and the bound maximized over M
     (grid extended so the maximum always dominates the fixed columns).
     """
+    _check_counts(n)
     if not p_grid or not M_grid:
         raise ValueError("parameter grids must be nonempty")
     if dp < 0.0:
@@ -161,7 +162,7 @@ def ad_discrimination_sweep(
         if p1 > 1.0:
             raise ValueError(f"p + dp = {p1} exceeds 1")
         F = ad_fidelity(p0, p1)
-        _check_fidelity(F)  # once per row; n < 1 already failed xi on the grid
+        _check_fidelity(F)
         log_f = log(F) if 0.0 < F < 1.0 else None
         row = {
             "p": p,

@@ -1,6 +1,9 @@
 """Hermitian linear algebra primitives for density-matrix numerics.
 
-All states are dense complex matrices.
+All states are dense complex matrices. Like numpy's generalized ufuncs, the
+primitives also take a stack (..., n, n): each member is an independent
+matrix and gets the numbers it would get on its own. Paired inputs must
+share one shape.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ class DensityMatrix:
 
     dims lists the tensor factors in order; their product must equal the
     matrix dimension. Hermiticity, positivity and normalization are checked
-    on construction.
+    on construction. matrix may be a stack (..., n, n) of states sharing one
+    dims; every member is checked, with the tolerances and messages of a
+    single matrix (a bad trace names the first offending member's trace).
     """
 
     matrix: Array
@@ -41,27 +46,27 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix contains non-finite entries")
-        if prod(self.dims) != mat.shape[0]:
-            raise ValueError(f"dims {self.dims} do not match dimension {mat.shape[0]}")
-        if np.abs(mat - mat.conj().T).max() > TOL_HERM:
+        if prod(self.dims) != mat.shape[-1]:
+            raise ValueError(f"dims {self.dims} do not match dimension {mat.shape[-1]}")
+        if np.abs(mat - mat.conj().swapaxes(-1, -2)).max() > TOL_HERM:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = complex(mat.trace())
-        if abs(tr.real - 1.0) > TOL_TRACE or abs(tr.imag) > TOL_TRACE:
-            raise ValueError(f"density matrix trace {tr} is not 1")
+        for tr in mat.trace(axis1=-2, axis2=-1).reshape(-1).tolist():
+            if abs(tr.real - 1.0) > TOL_TRACE or abs(tr.imag) > TOL_TRACE:
+                raise ValueError(f"density matrix trace {tr} is not 1")
         if np.linalg.eigvalsh(mat).min() < -TOL_PSD:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def psd_sqrt(A) -> Array:
-    """Matrix square root of a PSD matrix.
+    """Matrix square root of a PSD matrix, or of each member of a stack (..., n, n).
 
     Eigenvalues below TOL_PSD are treated as exact zeros: a unit-trace matrix
     cannot distinguish them from rounding noise, and letting them through the
@@ -69,23 +74,26 @@ def psd_sqrt(A) -> Array:
     """
     evals, vecs = np.linalg.eigh(_as_matrix(A))
     evals = np.where(evals < TOL_PSD, 0.0, evals)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
+    return (vecs * np.sqrt(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def fidelity(rho, sigma) -> float:
+def fidelity(rho, sigma) -> float | Array:
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
     Computed as the nuclear norm of sqrt(rho) @ sqrt(sigma): singular values
     carry absolute eigensolver accuracy, while forming the inner product
     matrix first would square the noise floor and then take its square root.
+    Two matrices give a float; two stacks of one shape (..., n, n) give the
+    array (...) of member-wise fidelities, each equal to the single-pair value.
     """
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     sv = np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False)
-    return min(float(sv.sum()), 1.0)
+    F = np.minimum(sv.sum(axis=-1), 1.0)
+    return float(F) if F.ndim == 0 else F
 
 
 def _partial_trace_2(mat, dims, keep: int) -> Array:
-    """Marginal of a two-factor matrix on factor `keep` (0 or 1)."""
-    return np.trace(mat.reshape(dims + dims), axis1=1 - keep, axis2=3 - keep)
+    """Marginal of a two-factor matrix (or of each in a stack) on factor `keep` (0 or 1)."""
+    return np.trace(mat.reshape(mat.shape[:-2] + tuple(dims) * 2), axis1=-3 - keep, axis2=-1 - keep)

@@ -139,6 +139,8 @@ def simulate_channel_choi(ch: KrausChannel, M: int) -> ChoiMatrix:
     """
     if ch.d_in != 2:
         raise ValueError(f"simulation handles qubit input channels only, got d_in={ch.d_in}")
+    if ch.kraus_ops[0].ndim != 2:
+        raise ValueError("simulation takes one channel, not a stack")
     x = xi(M)
     J = choi(ch)
     d = ch.d_out
@@ -156,6 +158,8 @@ def diamond_via_choi_scalar_check(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> flo
     """
     if choi_a.state.dims != choi_b.state.dims:
         raise ValueError("Choi matrices must share dimensions")
+    if choi_a.matrix.ndim != 2 or choi_b.matrix.ndim != 2:
+        raise ValueError("diamond distance takes two Choi matrices, not stacks")
     J = choi_a.matrix - choi_b.matrix
     evals, vecs = np.linalg.eigh(J)
     absJ = (vecs * np.abs(evals)) @ vecs.conj().T

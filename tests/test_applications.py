@@ -259,17 +259,35 @@ _BAD_RESOLUTION = (
     ((1.2, 1.0), "loss"),
     ((0.5, -1.0), "separation"),
 )
+
+
+def _ad_choi_family(p: float):
+    return choi(amplitude_damping(p)).state
+
+
+# non-finite finite-difference steps and Choi QFIs (zero and negative ones are
+# in TestQfi and TestMetrologyBound)
+_BAD_METROLOGY = (
+    [(qfi_choi, (_ad_choi_family, 0.5, h), "step") for h in (np.nan, np.inf)]
+    + [(metrology_bound, (10, q), "QFI") for q in (np.nan, np.inf)]
+)
 _REJECTION_CASES = (
     [(fn, args, why) for fn in (illumination_chois, illumination_fidelity_exact,
                                 illumination_fidelity_approx) for args, why in _BAD_ILLUMINATION]
     + [(fn, args, why) for fn in (resolution_chois, resolution_fidelity)
        for args, why in _BAD_RESOLUTION]
     + [(resolution_bound, (5,) + args, why) for args, why in _BAD_RESOLUTION]
+    + _BAD_METROLOGY
 )
 
 
+def _case_id(fn, args) -> str:
+    """fn(args) with callables by name, so the id is the same in every run."""
+    return f"{fn.__name__}{tuple(getattr(a, '__name__', a) for a in args)}"
+
+
 @pytest.mark.parametrize(
-    "fn, args, why", _REJECTION_CASES, ids=[f"{fn.__name__}{args}" for fn, args, _ in _REJECTION_CASES]
+    "fn, args, why", _REJECTION_CASES, ids=[_case_id(fn, args) for fn, args, _ in _REJECTION_CASES]
 )
 def test_public_entry_points_reject_invalid_parameters(fn, args, why):
     with pytest.raises(ValueError, match=why):
@@ -278,10 +296,6 @@ def test_public_entry_points_reject_invalid_parameters(fn, args, why):
 
 # ---------------------------------------------------------------------------
 # metrology
-
-
-def _ad_choi_family(p: float):
-    return choi(amplitude_damping(p)).state
 
 
 class TestQfi:
@@ -309,6 +323,15 @@ class TestQfi:
     def test_depolarizing_family(self):
         est = qfi_choi(lambda x: choi(depolarizing(x, 2)).state, 0.5)
         assert np.isfinite(est.value) and est.value >= 0.0
+
+    def test_array_theta_equals_per_entry(self):
+        # the metrology table's route: one stack per point, one fidelity call
+        grid = np.linspace(0.2, 0.8, 13)
+        got = qfi_choi(lambda t: choi(amplitude_damping(t)), grid, 2e-3)
+        assert len(got) == grid.size
+        for theta, est in zip(grid, got):
+            assert est == qfi_choi(_ad_choi_family, float(theta), 2e-3)
+            assert type(est.value) is float
 
     def test_step_validation(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,79 @@ class TestKrausChannel:
         with pytest.raises(ValueError, match="at least one"):
             KrausChannel((), 2, 2)
 
+    # inf * 0 inside the completeness sum warns before the set is rejected
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+        ids=["nan", "inf", "-inf", "imag-nan"],
+    )
+    def test_rejects_non_finite(self, bad):
+        K0, K1 = amplitude_damping(0.3).kraus_ops
+        K1 = K1.copy()
+        K1[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            KrausChannel((K0, K1), 2, 2)
+
+
+class TestStackedChannels:
+    """Kraus operators with leading axes: one channel per entry, each checked."""
+
+    P = np.array([[0.0, 0.2, 0.5], [0.8, 1.0, 0.37]])
+
+    def test_amplitude_damping_stack_shapes(self):
+        ch = amplitude_damping(self.P)
+        assert all(K.shape == (2, 3, 2, 2) for K in ch.kraus_ops)
+        assert choi(ch).matrix.shape == (2, 3, 4, 4)
+
+    def test_stacked_choi_equals_per_entry(self):
+        seeded = np.random.default_rng(20180305).uniform(0.0, 1.0, size=(4, 5))
+        for P in (self.P, seeded):
+            got = choi(amplitude_damping(P))
+            assert got.state.dims == (2, 2)
+            for idx in np.ndindex(P.shape):
+                assert np.array_equal(got.matrix[idx], choi(amplitude_damping(P[idx])).matrix)
+
+    def test_stacked_generic_channel_equals_per_entry(self):
+        chans = [isometry_channel(2, 3, 2, seed=s) for s in (7, 8, 9)]
+        stacked = KrausChannel(
+            tuple(np.stack([ch.kraus_ops[k] for ch in chans]) for k in range(2)), 2, 3
+        )
+        got = choi(stacked).matrix
+        for j, ch in enumerate(chans):
+            assert np.array_equal(got[j], choi(ch).matrix)
+
+    def test_first_offending_damping_probability_named(self):
+        with pytest.raises(ValueError, match=r"damping probability 1\.5 outside"):
+            amplitude_damping(np.array([0.2, 1.5, -0.1]))
+        with pytest.raises(ValueError, match=r"damping probability nan outside"):
+            amplitude_damping(np.array([0.2, np.nan]))
+
+    def test_one_incomplete_member_fails(self):
+        K0, K1 = (K.copy() for K in amplitude_damping(self.P).kraus_ops)
+        K0[1, 2] *= 0.5
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel((K0, K1), 2, 2)
+
+    def test_one_non_finite_member_fails(self):
+        K0, K1 = (K.copy() for K in amplitude_damping(self.P).kraus_ops)
+        K1[0, 1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            KrausChannel((K0, K1), 2, 2)
+
+    def test_operators_must_share_leading_axes(self):
+        K0, K1 = amplitude_damping(self.P).kraus_ops
+        with pytest.raises(ValueError, match="differ"):
+            KrausChannel((K0, K1[0]), 2, 2)
+        with pytest.raises(ValueError, match="shape"):
+            KrausChannel((K0[..., :1, :], K1), 2, 2)
+
+    def test_one_bad_choi_marginal_fails_the_stack(self):
+        mats = np.stack([ad_choi_reference(p) for p in (0.1, 0.2, 0.3)])
+        mats[1] = 0.0
+        mats[1, 0, 0] = 1.0  # |00><00|: a state, not a Choi matrix
+        with pytest.raises(ValueError, match="marginal"):
+            ChoiMatrix(DensityMatrix(mats, (2, 2)))
+
 
 class TestChoiMatrix:
     def test_rejects_bad_marginal(self):

@@ -158,7 +158,11 @@ class TestDeterminism:
 
 
 class TestGoldenTables:
-    """Default-precision tables pinned byte for byte; a kernel change must reproduce them."""
+    """Tables pinned byte for byte; a kernel change must reproduce them.
+
+    Default precision, except the 61-row metrology grid at 17 digits, captured
+    from the per-state route before the stacked route replaced it.
+    """
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -172,6 +176,7 @@ class TestGoldenTables:
             (["illumination", "--d", "8", "--b", "0.0015", "--eta-min", "1e-4", "--eta-max", "0.0085"],
              "illumination_d8.csv"),
             (["metrology"], "metrology_default.csv"),
+            (["--precision", "17", "metrology", "--steps", "61"], "metrology_steps61.csv"),
         ],
     )
     def test_matches_committed_table(self, argv, name, capsys):

@@ -259,3 +259,8 @@ class TestSweep:
             ad_discrimination_sweep([0.995], 0.01, 20, [10])
         with pytest.raises(ValueError, match="nonnegative"):
             ad_discrimination_sweep([0.8], -0.01, 20, [10])
+
+    @pytest.mark.parametrize("n", [0, 0.4, 1.5, True])
+    def test_rejects_bad_count(self, n):
+        with pytest.raises(ValueError, match="count n="):
+            ad_discrimination_sweep([0.5], 0.01, n, [10])

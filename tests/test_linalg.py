@@ -122,6 +122,81 @@ class TestPartialTrace:
             assert np.abs(marg - np.eye(2) / 2).max() < 1e-14
 
 
+class TestStacks:
+    """A stack (..., n, n) gives member for member what each matrix gives alone."""
+
+    @staticmethod
+    def _stack(shape, dim, seed=20180305):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=shape + (dim, dim)) + 1j * rng.normal(size=shape + (dim, dim))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+    def test_density_matrix_accepts_stack(self):
+        stack = self._stack((3, 2), 4)
+        rho = DensityMatrix(stack, (2, 2))
+        assert rho.matrix.shape == (3, 2, 4, 4)
+        assert rho.dim == 4
+
+    def test_psd_sqrt_equals_per_member(self):
+        stack = self._stack((3, 2), 4)
+        stack[1, 0] = np.diag([1.0, 1e-12, 0.0, 0.0])  # a member with zeroed eigenvalues
+        got = psd_sqrt(stack)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(got[idx], psd_sqrt(stack[idx]))
+
+    def test_fidelity_equals_per_member(self):
+        a, b = self._stack((5, 2), 3, seed=1), self._stack((5, 2), 3, seed=2)
+        b[2, 1] = a[2, 1]  # F = 1 exactly after the clamp
+        got = fidelity(a, b)
+        assert got.shape == (5, 2)
+        for idx in np.ndindex(5, 2):
+            single = fidelity(a[idx], b[idx])
+            assert type(single) is float
+            assert got[idx] == single
+
+    def test_fidelity_rejects_mismatched_stacks(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            fidelity(self._stack((2,), 2), self._stack((3,), 2))
+
+    def test_partial_trace_equals_per_member(self):
+        stack = self._stack((4,), 6)
+        for keep in (0, 1):
+            got = _partial_trace_2(stack, (2, 3), keep)
+            for k in range(4):
+                assert np.array_equal(got[k], _partial_trace_2(stack[k], (2, 3), keep))
+
+    @pytest.mark.parametrize(
+        "plant, message",
+        [
+            (lambda m: m.__setitem__((0, 0), np.nan), "non-finite"),
+            (lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-6), "Hermitian"),
+            (lambda m: m.__imul__(1.5), r"trace \(1\.[0-9]+.*\) is not 1"),
+            (lambda m: m.__setitem__(slice(None), np.diag([1.5, -0.5, 0.0, 0.0])),
+             "negative eigenvalue"),
+        ],
+        ids=["non-finite", "hermitian", "trace", "negative-eigenvalue"],
+    )
+    def test_one_bad_member_fails_the_stack(self, plant, message):
+        stack = self._stack((3, 2), 4)
+        plant(stack[2, 1])
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(stack, (2, 2))
+
+    def test_trace_message_names_first_offending_member(self):
+        stack = np.stack([np.eye(2) / 2, np.eye(2) * 0.6, np.eye(2)]).astype(complex)
+        with pytest.raises(ValueError, match=r"trace \(1\.2\+0j\) is not 1"):
+            DensityMatrix(stack, (2,))
+
+    def test_stack_shape_checks(self):
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.ones((3, 2, 3)) / 2, (2,))
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.ones(4) / 4, (4,))
+        with pytest.raises(ValueError, match="dims"):
+            DensityMatrix(self._stack((2,), 4), (2, 3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(density_matrices(dims=(2, 3)))
 def test_partial_trace_preserves_trace(rho):

@@ -246,6 +246,10 @@ class TestSimulateChannel:
         with pytest.raises(ValueError, match="qubit"):
             simulate_channel_choi(depolarizing(0.1, 3), 4)
 
+    def test_rejects_stacked_channel(self):
+        with pytest.raises(ValueError, match="not a stack"):
+            simulate_channel_choi(amplitude_damping(np.array([0.3, 0.7])), 4)
+
     def test_ad_simulation_matrix_entries(self):
         # simulated Choi of amplitude damping: x, y, z, w entries in xi and p
         for M, p in ((2, 0.3), (4, 0.7), (6, 0.05)):
@@ -293,6 +297,13 @@ class TestScalarDiamond:
         b = choi(depolarizing(0.1, 3))
         with pytest.raises(ValueError, match="dimensions"):
             diamond_via_choi_scalar_check(a, b)
+
+    def test_rejects_stacked_chois(self):
+        single = choi(amplitude_damping(0.3))
+        stacked = choi(amplitude_damping(np.array([0.3, 0.3])))
+        for a, b in ((stacked, stacked), (single, stacked), (stacked, single)):
+            with pytest.raises(ValueError, match="not stacks"):
+                diamond_via_choi_scalar_check(a, b)
 
 
 class TestDeltaAd:
