@@ -12,21 +12,12 @@ from math import ceil, exp, inf, isfinite, log2, sqrt
 
 import numpy as np
 
-from .channels import _check_dim
-from .discrimination import BoundReport, _check_counts, _report, bound_B_near_identity
-from .linalg import DensityMatrix, _as_matrix, fidelity
-from .pbt import _check_ports
+from .discrimination import BoundReport, _report, bound_B_near_identity
+from .linalg import DensityMatrix, _as_matrix, _check_int, _check_interval, fidelity
 
 
 # ---------------------------------------------------------------------------
 # single-photon optical resolution
-
-def _check_resolution(eta: float, s: float) -> None:
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"loss parameter {eta} outside (0, 1]")
-    if s < 0.0:
-        raise ValueError(f"separation {s} must be nonnegative")
-
 
 def resolution_chois(eta: float, s: float) -> tuple[DensityMatrix, DensityMatrix]:
     """Choi matrices of the two source-position channels.
@@ -35,7 +26,8 @@ def resolution_chois(eta: float, s: float) -> tuple[DensityMatrix, DensityMatrix
     where 1+/1- are the symmetric/antisymmetric single-photon modes. Each
     state mixes the surviving branch |Psi+-> with the photon-loss branch.
     """
-    _check_resolution(eta, s)
+    _check_interval(eta, "loss parameter", 0, 1, lo_open=True)
+    _check_interval(s, "separation", 0, inf)
     delta = exp(-s * s / 8.0)
     eta_p = (1.0 + delta) * eta / 2.0
     eta_m = (1.0 - delta) * eta / 2.0
@@ -56,7 +48,8 @@ def resolution_chois(eta: float, s: float) -> tuple[DensityMatrix, DensityMatrix
 
 def resolution_fidelity(eta: float, s: float) -> float:
     """Closed-form Choi fidelity 1 - eta (1 - exp(-s^2/8)) / 2."""
-    _check_resolution(eta, s)
+    _check_interval(eta, "loss parameter", 0, 1, lo_open=True)
+    _check_interval(s, "separation", 0, inf)
     return 1.0 - eta * (1.0 - exp(-s * s / 8.0)) / 2.0
 
 
@@ -69,8 +62,9 @@ def resolution_bound(n: int, eta: float, s: float) -> BoundReport:
     exp(-8 n sqrt(eps)) / 4 ('exact_value', always >= the small-s form) and
     the linear form, plus a regime flag for eps_small = eta s^2/16 <= 0.01.
     """
-    _check_counts(n)
-    _check_resolution(eta, s)
+    _check_int(n, "count n =", 1)
+    _check_interval(eta, "loss parameter", 0, 1, lo_open=True)
+    _check_interval(s, "separation", 0, inf)
     raw = exp(-2.0 * n * s * sqrt(eta)) / 4.0
     eps = eta * (1.0 - exp(-s * s / 8.0)) / 2.0
     near = bound_B_near_identity(n, 2, eps)
@@ -89,19 +83,6 @@ def resolution_bound(n: int, eta: float, s: float) -> BoundReport:
 # ---------------------------------------------------------------------------
 # discrete-variable quantum illumination
 
-def _check_mode_count(d: int) -> None:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"mode count {d} must be an integer >= 1")
-
-
-def _check_illumination(d: int, eta: float, b: float) -> None:
-    _check_mode_count(d)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"reflectivity {eta} outside [0, 1]")
-    if b < 0.0 or d * b >= 1.0:
-        raise ValueError(f"thermal occupation b={b} needs 0 <= d*b < 1")
-
-
 def illumination_chois(d: int, eta: float, b: float) -> tuple[DensityMatrix, DensityMatrix]:
     """Target-absent and target-present states on (signal, idler).
 
@@ -109,7 +90,9 @@ def illumination_chois(d: int, eta: float, b: float) -> tuple[DensityMatrix, Den
     mixed idler. Present: reflectivity-eta mixture with the maximally
     entangled single-photon state over d+1 levels.
     """
-    _check_illumination(d, eta, b)
+    _check_int(d, "mode count", 1)
+    _check_interval(eta, "reflectivity", 0, 1)
+    _check_interval(d * b, "thermal occupation d*b =", 0, 1, hi_open=True)
     D = d + 1
     thermal = np.diag([1.0 - d * b] + [b] * d).astype(complex)
     sigma = np.kron(thermal, np.eye(D) / D)
@@ -142,7 +125,9 @@ def illumination_fidelity_exact(d: int, eta: float, b: float, method: str = "str
     'generic' diagonalizes the (d+1)^2-dim pair; psd_sqrt zeroes sigma's
     eigenvalues b/(d+1) below TOL_PSD, which puts it up to 8e-6 off at b = 1e-9.
     """
-    _check_illumination(d, eta, b)
+    _check_int(d, "mode count", 1)
+    _check_interval(eta, "reflectivity", 0, 1)
+    _check_interval(d * b, "thermal occupation d*b =", 0, 1, hi_open=True)
     if method not in ("structured", "generic"):
         raise ValueError(f"unknown method {method!r}")
     if method == "generic":
@@ -160,7 +145,9 @@ def illumination_fidelity_approx(d: int, eta: float, b: float) -> float:
     second order, and F = 1 exactly at eta = 0, where rho = sigma. The form
     with sqrt(eta d b) agrees with this one only when b << eta d.
     """
-    _check_illumination(d, eta, b)
+    _check_int(d, "mode count", 1)
+    _check_interval(eta, "reflectivity", 0, 1)
+    _check_interval(d * b, "thermal occupation d*b =", 0, 1, hi_open=True)
     return 1.0 - (eta * d + 2.0 * b - 2.0 * sqrt(b * b + eta * d * b)) / (2.0 * (d + 1))
 
 
@@ -176,10 +163,9 @@ def illumination_bound(n: int, d: int, eta: float) -> BoundReport:
     separable-probe reference error exp(-n eta / (8d)) / 2, which upper-bounds
     what unentangled probes achieve.
     """
-    _check_counts(n)
-    _check_mode_count(d)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"reflectivity {eta} outside [0, 1]")
+    _check_int(n, "count n =", 1)
+    _check_int(d, "mode count", 1)
+    _check_interval(eta, "reflectivity", 0, 1)
     raw = exp(-4.0 * n * d * sqrt(eta)) / 4.0
     separable = exp(-n * eta / (8.0 * d)) / 2.0
     params = {"n": n, "d": d, "eta": eta, "separable_upper": separable}
@@ -228,8 +214,9 @@ def qfi_choi(
     of points and returns stacks, and the result is a list with one estimate
     per entry, each equal to the float-theta estimate.
     """
-    if not 0.0 < dtheta < inf:
-        raise ValueError(f"step {dtheta} must be positive and finite")
+    _check_interval(dtheta, "step", 0, inf, lo_open=True, hi_open=True)
+    if (dtheta / 2.0) ** 2 == 0.0:
+        raise ValueError(f"step {dtheta} is so small that (step/2)^2 underflows to 0")
     fine = dtheta / 2.0
     points = (theta - dtheta / 2.0, theta + dtheta / 2.0, theta - fine / 2.0, theta + fine / 2.0)
     states = np.stack([_as_matrix(choi_at(t)) for t in points], axis=-3)
@@ -249,22 +236,14 @@ class MetrologyBound:
 
 def metrology_bound(n: int, qfi_choi_value: float) -> MetrologyBound:
     """QFI after n adaptive uses is at most n^2 times the Choi QFI."""
-    _check_counts(n)
-    if not 0.0 <= qfi_choi_value < inf:
-        raise ValueError(f"QFI {qfi_choi_value} must be nonnegative and finite")
+    _check_int(n, "count n =", 1)
+    _check_interval(qfi_choi_value, "QFI", 0, inf, hi_open=True)
     ceiling = n * n * qfi_choi_value
     return MetrologyBound(ceiling, 1.0 / ceiling if ceiling > 0.0 else inf)
 
 
 # ---------------------------------------------------------------------------
 # secret-key-rate upper bounds
-
-def _check_key_inputs(d: int, e_r: float) -> None:
-    """d >= 2 and 0 <= e_r <= log2 d, the cap of REE and SE on a d-dimensional Choi state."""
-    _check_dim(d)
-    if not 0.0 <= e_r <= log2(d):
-        raise ValueError(f"entanglement value e_r = {e_r} outside [0, log2 d = {log2(d)}]")
-
 
 @dataclass(frozen=True)
 class KeyRateParams:
@@ -273,7 +252,8 @@ class KeyRateParams:
     measure picks the (g, h) pair: 'REE' for relative entropy of
     entanglement, 'SE' for squashed entanglement. c caps the private-state
     dimension via log2(d_key) = c n; the protocol constant is not fixed by
-    theory, so it stays an input.
+    theory, so it stays an input. e_r is capped at log2 d, the largest REE
+    and SE of a d-dimensional Choi state.
     """
 
     d: int
@@ -284,20 +264,18 @@ class KeyRateParams:
     c: float = 1.0
 
     def __post_init__(self):
-        _check_key_inputs(self.d, self.e_r)
+        _check_int(self.d, "dimension", 2)
+        _check_interval(self.e_r, "entanglement value e_r =", 0, log2(self.d))
         if self.measure not in ("REE", "SE"):
             raise ValueError(f"unknown entanglement measure {self.measure!r}")
-        _check_counts(self.n)
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"security parameter {self.epsilon} outside [0, 1)")
-        if self.c <= 0.0:
-            raise ValueError(f"dimension constant {self.c} must be positive")
+        _check_int(self.n, "count n =", 1)
+        _check_interval(self.epsilon, "security parameter", 0, 1, hi_open=True)
+        _check_interval(self.c, "dimension constant", 0, inf, lo_open=True, hi_open=True)
 
 
 def binary_entropy(x: float) -> float:
     """H2(x) in bits; 0 at the endpoints."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"entropy argument {x} outside [0, 1]")
+    _check_interval(x, "entropy argument", 0, 1)
     if x in (0.0, 1.0):
         return 0.0
     return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
@@ -320,9 +298,8 @@ def key_rate_bound_finite(params: KeyRateParams, M: int, delta: float) -> KeyRat
     while the H2 argument stays in [0, 1], flagged invalid otherwise. M must
     be an integer port count >= 2 and delta a diamond distance in [0, 2].
     """
-    _check_ports(M)
-    if not 0.0 <= delta <= 2.0:
-        raise ValueError(f"simulation error {delta} outside [0, 2]")
+    _check_int(M, "port count", 2)
+    _check_interval(delta, "simulation error", 0, 2)
     gamma = params.n * delta + params.epsilon
     report = {"M": M, "delta": delta, "gamma": gamma, "measure": params.measure}
     h2_arg = gamma if params.measure == "REE" else 2.0 * sqrt(gamma)
@@ -342,9 +319,9 @@ def key_rate_bound_asymptotic(d: int, e_r: float, M: float) -> float:
     f(eps) = (1+eps) log2(1+eps) - eps log2 eps. M may be fractional so the
     analytic port choice m_tilde can be evaluated directly.
     """
-    _check_key_inputs(d, e_r)
-    if M < 2:
-        raise ValueError(f"port count {M} must be >= 2")
+    _check_int(d, "dimension", 2)
+    _check_interval(e_r, "entanglement value e_r =", 0, log2(d))
+    _check_interval(M, "port count", 2, inf, hi_open=True)
     eps = d * (d - 1) / M
     f = (1.0 + eps) * log2(1.0 + eps) - eps * log2(eps)
     return M * e_r + (2.0 * d * (d - 1) / M) * log2(d) + f
@@ -352,7 +329,8 @@ def key_rate_bound_asymptotic(d: int, e_r: float, M: float) -> float:
 
 def m_tilde(d: int, e_r: float) -> float:
     """Near-optimal port count sqrt(2 d(d-1) log2(d) / e_r); >= 2 for every accepted e_r."""
-    _check_key_inputs(d, e_r)
+    _check_int(d, "dimension", 2)
+    _check_interval(e_r, "entanglement value e_r =", 0, log2(d))
     if e_r == 0.0:
         raise ValueError("entanglement value 0 has no finite port count")
     return sqrt(2.0 * d * (d - 1) * log2(d) / e_r)

@@ -12,12 +12,7 @@ from math import sqrt
 
 import numpy as np
 
-from .linalg import TOL_NUM, Array, DensityMatrix, _partial_trace_2
-
-
-def _check_dim(d: int) -> None:
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension {d} must be an integer >= 2")
+from .linalg import TOL_NUM, Array, DensityMatrix, _check_interval, _partial_trace_2
 
 
 @dataclass(frozen=True)
@@ -108,8 +103,7 @@ def amplitude_damping(p) -> KrausChannel:
     """
     p = np.asarray(p, dtype=float)
     for q in p.reshape(-1).tolist():
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"damping probability {q} outside [0, 1]")
+        _check_interval(q, "damping probability", 0, 1)
     K0 = np.zeros(p.shape + (2, 2), dtype=complex)
     K1 = np.zeros_like(K0)
     K0[..., 0, 0] = 1.0

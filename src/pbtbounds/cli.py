@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from math import inf
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import applications as apps
 from . import discrimination as disc
 from . import pbt, pbt_oracle
 from .channels import amplitude_damping, choi
-from .linalg import fidelity
+from .linalg import _check_int, _check_interval, fidelity
 
 OUT_DIR_ENV = "PBTBOUNDS_OUT_DIR"
 JSON_SCHEMA = "pbtbounds-table/1"
@@ -53,10 +54,8 @@ def _render(columns: list[str], rows: list[list], args: argparse.Namespace) -> s
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    if steps < 1:
-        raise ValueError(f"steps {steps} must be >= 1")
-    if hi < lo:
-        raise ValueError(f"empty range [{lo}, {hi}]")
+    _check_int(steps, "steps", 1)
+    _check_interval(hi, "range end", lo, inf)
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]

@@ -9,11 +9,9 @@ upper bound on the block trace distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, log, sqrt
+from math import exp, inf, log, sqrt
 
-import numpy as np
-
-from .channels import _check_dim
+from .linalg import _check_int, _check_interval
 from .pbt import _ad_factor, simulation_error, xi
 
 
@@ -62,24 +60,11 @@ def _fuchs(F: float, k: float, log_f: float | None = None) -> float:
     return sqrt(max(1.0 - _pow(F, k, log_f), 0.0))
 
 
-def _check_fidelity(F: float) -> None:
-    if not 0.0 <= F <= 1.0:
-        raise ValueError(f"fidelity {F} outside [0, 1]")
-
-
-def _check_counts(n: int, M: int | None = None) -> None:
-    """n, and M when given, must be integers >= 1; the message names only those."""
-    for count in (n,) if M is None else (n, M):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            if M is None:
-                raise ValueError(f"count n={n} must be an integer >= 1")
-            raise ValueError(f"counts n={n}, M={M} must be integers >= 1")
-
-
 def d_upper_fuchs(F: float, n: int, M: int) -> float:
     """Trace-distance bound sqrt(1 - F^{2nM}) on nM Choi copies."""
-    _check_fidelity(F)
-    _check_counts(n, M)
+    _check_interval(F, "fidelity", 0, 1)
+    _check_int(n, "count n =", 1)
+    _check_int(M, "count M =", 1)
     return _fuchs(F, 2.0 * n * M)
 
 
@@ -97,6 +82,9 @@ def bound_B_optimized(n: int, d: int, F: float) -> BoundReport:
     2d(d-1)/M bound otherwise); the winning M, the estimator and the delta
     provenance are recorded in params.
     """
+    _check_int(n, "count n =", 1)
+    _check_int(d, "dimension", 2)
+    _check_interval(F, "fidelity", 0, 1)
     best = None
     for M in default_m_grid(n, d):
         delta, provenance = simulation_error(M, d)
@@ -119,10 +107,9 @@ def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
     exp(-4n sqrt(2d(d-1) eps))/4 and a regime flag (expansion assumes
     n sqrt(2d(d-1) eps) small).
     """
-    if epsilon < 0.0 or epsilon > 1.0:
-        raise ValueError(f"infidelity {epsilon} outside [0, 1]")
-    _check_counts(n)
-    _check_dim(d)
+    _check_interval(epsilon, "infidelity", 0, 1)
+    _check_int(n, "count n =", 1)
+    _check_int(d, "dimension", 2)
     x = n * sqrt(2.0 * d * (d - 1) * epsilon)
     raw = 0.25 - x
     surrogate = exp(-4.0 * x) / 4.0
@@ -133,8 +120,7 @@ def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
 def ad_fidelity(p0: float, p1: float) -> float:
     """Fidelity between the Choi matrices of two amplitude damping channels."""
     for p in (p0, p1):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"damping probability {p} outside [0, 1]")
+        _check_interval(p, "damping probability", 0, 1)
     return (1.0 + sqrt((1.0 - p0) * (1.0 - p1)) + sqrt(p0 * p1)) / 2.0
 
 
@@ -149,11 +135,10 @@ def ad_discrimination_sweep(
     delta_bar <= delta_M of the two channels, and the bound maximized over M
     (grid extended so the maximum always dominates the fixed columns).
     """
-    _check_counts(n)
+    _check_int(n, "count n =", 1)
     if not p_grid or not M_grid:
         raise ValueError("parameter grids must be nonempty")
-    if dp < 0.0:
-        raise ValueError(f"damping separation {dp} must be nonnegative")
+    _check_interval(dp, "damping separation", 0, inf)
     opt_grid = sorted(set(default_m_grid(n, 2)) | set(M_grid))
     xis = {M: xi(M) for M in opt_grid}  # validates every port count once
     rows = []
@@ -162,7 +147,7 @@ def ad_discrimination_sweep(
         if p1 > 1.0:
             raise ValueError(f"p + dp = {p1} exceeds 1")
         F = ad_fidelity(p0, p1)
-        _check_fidelity(F)
+        _check_interval(F, "fidelity", 0, 1)
         log_f = log(F) if 0.0 < F < 1.0 else None
         row = {
             "p": p,

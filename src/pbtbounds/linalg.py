@@ -3,13 +3,14 @@
 All states are dense complex matrices. Like numpy's generalized ufuncs, the
 primitives also take a stack (..., n, n): each member is an independent
 matrix and gets the numbers it would get on its own. Paired inputs must
-share one shape.
+share one shape. The module also holds the integer and interval checks that
+every other module applies to its scalar arguments, since all of them import it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -20,6 +21,24 @@ TOL_PSD = 1e-9
 TOL_NUM = 1e-8
 
 Array = np.ndarray
+
+
+def _check_int(value, name: str, lo: int, hi: float = inf) -> None:
+    """Accept an int or numpy integer, never a bool, with lo <= value <= hi."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        bounds = f">= {lo}" if hi == inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} {value} must be an integer {bounds}")
+
+
+def _check_interval(value, name: str, lo: float, hi: float, lo_open=False, hi_open=False) -> None:
+    """Accept lo <= value <= hi, strict at an open end.
+
+    Written in the positive form, so NaN always fails, and so does an infinite
+    value against a finite bound. The message reads "<name> <value> outside <interval>".
+    """
+    if not ((lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)):
+        interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+        raise ValueError(f"{name} {value} outside {interval}")
 
 
 def _as_matrix(obj) -> Array:

@@ -14,8 +14,8 @@ from math import ldexp, sqrt
 
 import numpy as np
 
-from .channels import ChoiMatrix, KrausChannel, _check_dim, choi
-from .linalg import TOL_NUM, Array, DensityMatrix, _partial_trace_2
+from .channels import ChoiMatrix, KrausChannel, choi
+from .linalg import TOL_NUM, Array, DensityMatrix, _check_int, _check_interval, _partial_trace_2
 
 
 def _binomial_window(M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -41,11 +41,6 @@ def _binomial_window(M: int) -> tuple[np.ndarray, np.ndarray]:
     return ks, w / w.sum()
 
 
-def _check_ports(M: int) -> None:
-    if not isinstance(M, (int, np.integer)) or M < 2:
-        raise ValueError(f"port count {M} must be an integer >= 2")
-
-
 @lru_cache
 def _xi_sum(M: int) -> float:
     k, w = _binomial_window(M)
@@ -69,7 +64,7 @@ def xi(M: int) -> float:
     Relative error is at most 1e-14 against a 40-digit mpmath sum for
     2 <= M <= 1e6. Results are memoised per M.
     """
-    _check_ports(M)
+    _check_int(M, "port count", 2)
     return _xi_sum(int(M))
 
 
@@ -88,7 +83,7 @@ def entanglement_fidelity_qubit(M: int) -> float:
     at most 1e-14 against a 40-digit mpmath sum for 2 <= M <= 1e6. Results
     are memoised per M.
     """
-    _check_ports(M)
+    _check_int(M, "port count", 2)
     return _fidelity_sum(int(M))
 
 
@@ -99,8 +94,8 @@ def delta_exact_qubit(M: int) -> float:
 
 def delta_upper(M: int, d: int) -> float:
     """Dimension-general upper bound 2d(d-1)/M on the simulation error."""
-    _check_ports(M)
-    _check_dim(d)
+    _check_int(M, "port count", 2)
+    _check_int(d, "dimension", 2)
     return 2.0 * d * (d - 1) / M
 
 
@@ -178,6 +173,5 @@ def _ad_factor(p: float) -> float:
 
 def delta_ad(M: int, p: float) -> float:
     """Diamond-norm error of the M-port simulation of amplitude damping."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"damping probability {p} outside [0, 1]")
+    _check_interval(p, "damping probability", 0, 1)
     return xi(M) * _ad_factor(p)

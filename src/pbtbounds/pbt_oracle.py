@@ -19,18 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiMatrix
-from .linalg import Array, DensityMatrix
+from .linalg import Array, DensityMatrix, _check_int
 from .pbt import _depolarizing_choi_matrix  # a function of x only; xi_M is never read
 
 # At M = 8: ten sector eigensolves (126 dims at most), 6.3 MiB of blocks, 15-26 ms on one core.
 M_MAX = 8
 # Residual allowed between the computed Choi matrix and its isotropic fit.
 TOL_ISO = 1e-9
-
-
-def _check_m(M: int) -> None:
-    if not isinstance(M, (int, np.integer)) or not 2 <= M <= M_MAX:
-        raise ValueError(f"port count {M} outside [2, {M_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -54,7 +49,7 @@ class PbtEnsemble:
     povm: tuple[Array, ...]
 
     def __post_init__(self):
-        _check_m(self.M)
+        _check_int(self.M, "port count", 2, M_MAX)
         if not np.array_equal(np.sort(np.concatenate(self.sectors)), np.arange(2 ** (self.M + 1))):
             raise ValueError("sectors do not partition the basis")
         shapes = [(s.size, s.size) for s in self.sectors]
@@ -93,7 +88,7 @@ def build_ensemble(M: int) -> PbtEnsemble:
     sigma^i = 2^{-M} V_i V_i^T (columns e_x0 + e_x1), Pi^i = 2^{-M} (S V_i)(S V_i)^T
     plus the kernel share: one eigensolve and one batched product over the ports.
     """
-    _check_m(M)
+    _check_int(M, "port count", 2, M_MAX)
     states = np.arange(2 ** (M + 1))
     charge = (states[:, None] >> np.arange(M) & 1).sum(axis=1) - (states >> M)
     sectors = tuple(np.flatnonzero(charge == q) for q in range(-1, M + 1))

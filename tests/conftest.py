@@ -11,8 +11,8 @@ from math import sqrt
 import numpy as np
 from hypothesis import strategies as st
 
-from pbtbounds.channels import KrausChannel, _check_dim
-from pbtbounds.linalg import DensityMatrix
+from pbtbounds.channels import KrausChannel
+from pbtbounds.linalg import DensityMatrix, _check_int, _check_interval
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 _weight = st.floats(0.05, 1.0, allow_nan=False, allow_infinity=False)
@@ -60,9 +60,8 @@ def depolarizing(xi, d):
     d^2 - 1 Weyl operators with weight xi/d^2, using the twirl identity
     I/d = d^{-2} sum_{a,b} W_ab rho W_ab^dag.
     """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"depolarizing probability {xi} outside [0, 1]")
-    _check_dim(d)
+    _check_interval(xi, "depolarizing probability", 0, 1)
+    _check_int(d, "dimension", 2)
     ops = [sqrt(1.0 - xi + xi / d**2) * np.eye(d, dtype=complex)]
     for a in range(d):
         for b in range(d):

@@ -90,7 +90,7 @@ class TestResolutionBound:
             resolution_bound(0, 0.1, 1.0)
         with pytest.raises(ValueError):
             resolution_bound(5, 0.1, -0.5)
-        with pytest.raises(ValueError, match=r"count n=1\.5 must be an integer"):
+        with pytest.raises(ValueError, match=r"^count n = 1\.5 must be an integer >= 1$"):
             resolution_bound(1.5, 0.1, 1.0)
 
 
@@ -233,7 +233,7 @@ class TestIlluminationBound:
             illumination_bound(1, 0, 0.1)
         with pytest.raises(ValueError):
             illumination_bound(1, 2, 1.5)
-        with pytest.raises(ValueError, match=r"count n=1\.5 must be an integer"):
+        with pytest.raises(ValueError, match=r"^count n = 1\.5 must be an integer >= 1$"):
             illumination_bound(1.5, 2, 0.1)
         for d in (1.5, 2.0, True):
             with pytest.raises(ValueError, match="mode count"):
@@ -339,6 +339,13 @@ class TestQfi:
         with pytest.raises(ValueError):
             qfi_choi(_ad_choi_family, 0.5, dtheta=-1e-3)
 
+    def test_step_whose_half_square_underflows(self):
+        # (1e-170 / 2)^2 is 0 in floating point, so both Richardson steps would divide by 0
+        message = r"^step 1e-170 is so small that \(step/2\)\^2 underflows to 0$"
+        with pytest.raises(ValueError, match=message):
+            qfi_choi(_ad_choi_family, 0.5, dtheta=1e-170)
+        assert qfi_choi(_ad_choi_family, 0.5, dtheta=1e-150).value >= 0.0
+
 
 class TestMetrologyBound:
     def test_quadratic_scaling_is_float_exact(self):
@@ -357,7 +364,7 @@ class TestMetrologyBound:
         with pytest.raises(ValueError):
             metrology_bound(1, -0.5)
         # the one-count check names only the count it was given
-        with pytest.raises(ValueError, match=r"^count n=1\.5 must be an integer >= 1$"):
+        with pytest.raises(ValueError, match=r"^count n = 1\.5 must be an integer >= 1$"):
             metrology_bound(1.5, 1.0)
 
 
@@ -424,7 +431,7 @@ class TestFiniteKeyRate:
             KeyRateParams(2, 0.01, epsilon=1.0)
         with pytest.raises(ValueError):
             KeyRateParams(2, 0.01, c=0.0)
-        with pytest.raises(ValueError, match=r"count n=1\.5 must be an integer"):
+        with pytest.raises(ValueError, match=r"^count n = 1\.5 must be an integer >= 1$"):
             KeyRateParams(2, 1e-3, n=1.5)
 
     def test_rejects_non_integer_port_count(self):

@@ -104,6 +104,25 @@ class TestExitCodes:
         assert main(["metrology", "--p-min", "0.0", "--steps", "2"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["illumination", "--b", "nan"],
+            ["keyrate", "--c", "nan"],
+            ["keyrate", "--c", "inf"],
+            ["metrology", "--dtheta", "1e-170"],  # (dtheta/2)^2 underflows to 0
+        ],
+    )
+    def test_rejected_float_exits_one_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_nan_range_end_is_named(self, capsys):
+        assert main(["ad-sweep", "--p-max", "nan"]) == 1
+        assert capsys.readouterr().err == "error: range end nan outside [0.8, inf]\n"
+
     def test_io_failure(self, tmp_path, capsys):
         target = tmp_path / "missing" / "table.csv"
         code = main(["--out", str(target), "xi-table", "--m-max", "4"])

@@ -1,5 +1,6 @@
 """Universal discrimination bound, the Fuchs estimator, and the damping-pair sweep."""
 
+import re
 from math import exp, sqrt
 
 import pytest
@@ -19,6 +20,11 @@ from pbtbounds.discrimination import (
 from pbtbounds.pbt import delta_ad, delta_exact_qubit, simulation_error
 
 
+def _count_error(name, value) -> str:
+    """Pattern matching the whole message of a rejected count."""
+    return rf"^count {name} = {re.escape(str(value))} must be an integer >= 1$"
+
+
 class TestEstimators:
     def test_fuchs_endpoints(self):
         assert d_upper_fuchs(1.0, 5, 10) == 0.0
@@ -33,8 +39,10 @@ class TestEstimators:
         assert d_upper_fuchs(0.5, 1000, 1000) == 1.0
 
     def test_count_validation(self):
-        for n, M in ((0, 4), (1.5, 4), (2, 4.0), (True, 4), (2, True)):
-            with pytest.raises(ValueError, match="integers"):
+        # each count is checked on its own and the message names only that count
+        for n, M, name, bad in ((0, 4, "n", 0), (1.5, 4, "n", 1.5), (2, 4.0, "M", 4.0),
+                                (True, 4, "n", True), (2, True, "M", True)):
+            with pytest.raises(ValueError, match=_count_error(name, bad)):
                 d_upper_fuchs(0.9, n, M)
         with pytest.raises(ValueError):
             d_upper_fuchs(1.2, 1, 4)
@@ -79,8 +87,13 @@ class TestBoundBOptimized:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="fidelity"):
             bound_B_optimized(2, 2, F=1.2)
-        with pytest.raises(ValueError, match="integers"):
-            bound_B_optimized(1.5, 2, F=0.9)
+        # n, d and F are checked before the port-count grid is built from them,
+        # so the message names n, never a grid port count
+        for n in (1.5, 0, -3):
+            with pytest.raises(ValueError, match=_count_error("n", n)):
+                bound_B_optimized(n, 2, F=0.9)
+        with pytest.raises(ValueError, match=r"^dimension 1 must be an integer >= 2$"):
+            bound_B_optimized(2, 1, F=0.9)
 
     def test_default_grid_contents(self):
         grid = default_m_grid(5, 2)
@@ -257,10 +270,10 @@ class TestSweep:
             ad_discrimination_sweep([], 0.01, 20, [10])
         with pytest.raises(ValueError, match="exceeds 1"):
             ad_discrimination_sweep([0.995], 0.01, 20, [10])
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"^damping separation -0\.01 outside \[0, inf\]$"):
             ad_discrimination_sweep([0.8], -0.01, 20, [10])
 
     @pytest.mark.parametrize("n", [0, 0.4, 1.5, True])
     def test_rejects_bad_count(self, n):
-        with pytest.raises(ValueError, match="count n="):
+        with pytest.raises(ValueError, match=_count_error("n", n)):
             ad_discrimination_sweep([0.5], 0.01, n, [10])

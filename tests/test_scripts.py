@@ -1,4 +1,4 @@
-"""Smoke tests for the two driver scripts under scripts/."""
+"""Smoke test for the driver script under scripts/."""
 
 import importlib.util
 from pathlib import Path
@@ -24,11 +24,3 @@ def test_application_tables_are_reproducible(tmp_path, capsys):
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
-
-def test_figure_data_writes_the_sweep(tmp_path, capsys):
-    out = tmp_path / "figure.csv"
-    assert _load("make_figure_data").main(["--steps", "3", "--out", str(out)]) == 0
-    capsys.readouterr()
-    lines = out.read_text().splitlines()
-    assert lines[0] == "p,block_lower,block_upper,lb_M10,lb_M100,lb_M1000,lb_optimized,argmax_M"
-    assert len(lines) == 4
