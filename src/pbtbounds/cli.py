@@ -1,6 +1,7 @@
 """Command-line tables for every bound in the package.
 
-Subcommands emit CSV (default) or schema-versioned JSON. All quantities are
+Each subcommand builds its table as rows keyed by column name, in column
+order, and emits CSV (default) or schema-versioned JSON. All quantities are
 closed forms or eigensolves, so output is deterministic; regime violations
 surface as warning columns rather than refusals.
 
@@ -38,113 +39,98 @@ def _fmt(value, precision: int):
     return f"{float(value):.{precision}g}"
 
 
-def _render(columns: list[str], rows: list[list], args: argparse.Namespace) -> str:
+def _render(rows: list[dict], args: argparse.Namespace) -> str:
+    """Rows keyed by column name; every row has the first row's keys in its order."""
+    columns = list(rows[0])
+    cells = [[_fmt(v, args.precision) for v in row.values()] for row in rows]
     if args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v, args.precision) for v in row))
-        return "\n".join(lines) + "\n"
+        return "\n".join(",".join(line) for line in [columns, *cells]) + "\n"
     payload = {
         "schema": JSON_SCHEMA,
         "command": args.command,
         "columns": columns,
-        "rows": [[_fmt(v, args.precision) for v in row] for row in rows],
+        "rows": cells,
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
     _check_int(steps, "steps", 1)
+    _check_interval(lo, "range start", -inf, inf, lo_open=True, hi_open=True)
     _check_interval(hi, "range end", lo, inf)
+    _check_interval(hi, "range end", lo, inf, hi_open=True)  # only hi = inf is left to fail
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def cmd_xi_table(M_min: int, M_max: int) -> tuple[list[str], list[list]]:
-    if not 2 <= M_min <= M_max:
-        raise ValueError(f"need 2 <= M_min <= M_max, got [{M_min}, {M_max}]")
-    columns = ["M", "xi", "f_e", "delta", "delta_upper", "M_xi", "identity_ok"]
+def cmd_xi_table(args: argparse.Namespace) -> list[dict]:
+    if not 2 <= args.m_min <= args.m_max:
+        raise ValueError(f"need 2 <= M_min <= M_max, got [{args.m_min}, {args.m_max}]")
     rows = []
-    for M in range(M_min, M_max + 1):
+    for M in range(args.m_min, args.m_max + 1):
         x = pbt.xi(M)
         fe = pbt.entanglement_fidelity_qubit(M)
         delta = pbt.delta_exact_qubit(M)
-        rows.append(
-            [M, x, fe, delta, pbt.delta_upper(M, 2), M * x, abs(fe + delta / 2 - 1) < 1e-10]
-        )
-    return columns, rows
+        rows.append({
+            "M": M, "xi": x, "f_e": fe, "delta": delta, "delta_upper": pbt.delta_upper(M, 2),
+            "M_xi": M * x, "identity_ok": abs(fe + delta / 2 - 1) < 1e-10,
+        })
+    return rows
 
 
-def cmd_oracle_verify(M_max: int) -> tuple[list[str], list[list]]:
-    if not 2 <= M_max <= pbt_oracle.M_MAX:
-        raise ValueError(f"M_max {M_max} outside [2, {pbt_oracle.M_MAX}]")
-    columns = ["M", "xi_closed", "xi_oracle", "abs_diff", "isotropy_residual"]
+def cmd_oracle_verify(args: argparse.Namespace) -> list[dict]:
+    if not 2 <= args.m_max <= pbt_oracle.M_MAX:
+        raise ValueError(f"M_max {args.m_max} outside [2, {pbt_oracle.M_MAX}]")
     rows = []
-    for M in range(2, M_max + 1):
+    for M in range(2, args.m_max + 1):
         closed = pbt.xi(M)
         J = pbt_oracle.oracle_channel_choi(M).matrix
         oracle = pbt_oracle._isotropic_fit(J)
-        residual = float(np.abs(J - pbt.pbt_choi_qubit(M).matrix).max())
-        rows.append([M, closed, oracle, abs(closed - oracle), residual])
-    return columns, rows
+        rows.append({
+            "M": M, "xi_closed": closed, "xi_oracle": oracle, "abs_diff": abs(closed - oracle),
+            "isotropy_residual": float(np.abs(J - pbt.pbt_choi_qubit(M).matrix).max()),
+        })
+    return rows
 
 
-def cmd_ad_sweep(
-    p0_min: float, p0_max: float, steps: int, dp: float, n: int, M_list: list[int]
-) -> tuple[list[str], list[list]]:
-    p_grid = _grid(p0_min, p0_max, steps)
-    table = disc.ad_discrimination_sweep(p_grid, dp, n, M_list)
-    columns = ["p", "block_lower", "block_upper"]
-    columns += [f"lb_M{M}" for M in M_list] + ["lb_optimized", "argmax_M"]
-    return columns, [[row[c] for c in columns] for row in table]
+def cmd_ad_sweep(args: argparse.Namespace) -> list[dict]:
+    p_grid = _grid(args.p_min, args.p_max, args.steps)
+    return disc.ad_discrimination_sweep(p_grid, args.dp, args.n, args.m_list)
 
 
-def cmd_resolution(eta: float, s_min: float, s_max: float, steps: int, n: int):
-    s_grid = _grid(s_min, s_max, steps)
-    columns = [
-        "s", "F_closed", "F_choi", "bound_small_s", "bound_exact_eps",
-        "bound_linear", "regime_ok",
-    ]
+def cmd_resolution(args: argparse.Namespace) -> list[dict]:
     rows = []
-    for s in s_grid:
-        closed = apps.resolution_fidelity(eta, s)
-        r0, r1 = apps.resolution_chois(eta, s)
-        report = apps.resolution_bound(n, eta, s)
-        rows.append(
-            [
-                s, closed, fidelity(r0, r1), report.value,
-                report.params["exact_value"], report.params["linear_value"],
-                report.params["regime_ok"],
-            ]
-        )
-    return columns, rows
+    for s in _grid(args.s_min, args.s_max, args.steps):
+        r0, r1 = apps.resolution_chois(args.eta, s)
+        report = apps.resolution_bound(args.n, args.eta, s)
+        rows.append({
+            "s": s, "F_closed": apps.resolution_fidelity(args.eta, s), "F_choi": fidelity(r0, r1),
+            "bound_small_s": report.value, "bound_exact_eps": report.params["exact_value"],
+            "bound_linear": report.params["linear_value"], "regime_ok": report.params["regime_ok"],
+        })
+    return rows
 
 
-def cmd_illumination(d: int, b: float, eta_min: float, eta_max: float, steps: int, n: int):
-    columns = [
-        "eta", "F_exact", "F_approx", "approx_regime_ok", "bound_lower",
-        "separable_upper",
-    ]
+def cmd_illumination(args: argparse.Namespace) -> list[dict]:
+    d, b = args.d, args.b
     rows = []
-    for eta in _grid(eta_min, eta_max, steps):
-        report = apps.illumination_bound(n, d, eta)
-        rows.append(
-            [
-                eta,
-                apps.illumination_fidelity_exact(d, eta, b),
-                apps.illumination_fidelity_approx(d, eta, b),
-                apps.illumination_regime_ok(d, eta, b),
-                report.value,
-                report.params["separable_upper"],
-            ]
-        )
-    return columns, rows
+    for eta in _grid(args.eta_min, args.eta_max, args.steps):
+        report = apps.illumination_bound(args.n, d, eta)
+        rows.append({
+            "eta": eta,
+            "F_exact": apps.illumination_fidelity_exact(d, eta, b),
+            "F_approx": apps.illumination_fidelity_approx(d, eta, b),
+            "approx_regime_ok": apps.illumination_regime_ok(d, eta, b),
+            "bound_lower": report.value,
+            "separable_upper": report.params["separable_upper"],
+        })
+    return rows
 
 
-def cmd_metrology(p_min: float, p_max: float, steps: int, n: int, dtheta: float):
-    columns = ["p", "qfi", "step_sensitivity", "qfi_bound", "variance_floor", "step_ok"]
-    grid = _grid(p_min, p_max, steps)
+def cmd_metrology(args: argparse.Namespace) -> list[dict]:
+    grid = _grid(args.p_min, args.p_max, args.steps)
+    dtheta = args.dtheta
     for p in grid:
         if not dtheta / 2 < p < 1 - dtheta / 2:
             raise ValueError(f"p={p} leaves no room for the finite-difference step")
@@ -152,30 +138,34 @@ def cmd_metrology(p_min: float, p_max: float, steps: int, n: int, dtheta: float)
     estimates = apps.qfi_choi(lambda t: choi(amplitude_damping(t)), np.array(grid), dtheta)
     rows = []
     for p, est in zip(grid, estimates):
-        bound = apps.metrology_bound(n, est.value)
-        rows.append(
-            [p, est.value, est.step_sensitivity, bound.qfi_upper, bound.variance_floor,
-             est.step_sensitivity < 0.01]
-        )
-    return columns, rows
+        bound = apps.metrology_bound(args.n, est.value)
+        rows.append({
+            "p": p, "qfi": est.value, "step_sensitivity": est.step_sensitivity,
+            "qfi_bound": bound.qfi_upper, "variance_floor": bound.variance_floor,
+            "step_ok": est.step_sensitivity < 0.01,
+        })
+    return rows
 
 
-def cmd_keyrate(d: int, e_r_list: list[float], n: int, epsilon: float, measure: str, c: float):
-    columns = [
-        "e_r", "m_tilde", "K_at_m_tilde", "argmin_M", "K_min", "finite_R", "finite_valid",
-    ]
+def cmd_keyrate(args: argparse.Namespace) -> list[dict]:
+    if not args.e_r_list:
+        raise ValueError("parameter grids must be nonempty")
+    d = args.d
     rows = []
-    for e_r in e_r_list:
+    for e_r in args.e_r_list:
         mt = apps.m_tilde(d, e_r)
         argmin, k_min = apps.key_rate_minimize_m(d, e_r)
-        params = apps.KeyRateParams(d=d, e_r=e_r, measure=measure, n=n, epsilon=epsilon, c=c)
+        params = apps.KeyRateParams(
+            d=d, e_r=e_r, measure=args.measure, n=args.n, epsilon=args.epsilon, c=args.c
+        )
         delta, _ = pbt.simulation_error(argmin, d)
         finite = apps.key_rate_bound_finite(params, argmin, delta)
-        rows.append(
-            [e_r, mt, apps.key_rate_bound_asymptotic(d, e_r, mt), argmin, k_min,
-             finite.value, finite.valid]
-        )
-    return columns, rows
+        rows.append({
+            "e_r": e_r, "m_tilde": mt, "K_at_m_tilde": apps.key_rate_bound_asymptotic(d, e_r, mt),
+            "argmin_M": argmin, "K_min": k_min, "finite_R": finite.value,
+            "finite_valid": finite.valid,
+        })
+    return rows
 
 
 def _int_list(text: str) -> list[int]:
@@ -199,11 +189,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xi-table", help="closed-form PBT quantities per port count")
     p.add_argument("--m-min", type=int, default=2)
     p.add_argument("--m-max", type=int, default=10)
-    p.set_defaults(table=lambda a: cmd_xi_table(a.m_min, a.m_max))
+    p.set_defaults(table=cmd_xi_table)
 
     p = sub.add_parser("oracle-verify", help="brute-force oracle vs closed form")
     p.add_argument("--m-max", type=int, default=6)
-    p.set_defaults(table=lambda a: cmd_oracle_verify(a.m_max))
+    p.set_defaults(table=cmd_oracle_verify)
 
     p = sub.add_parser("ad-sweep", help="amplitude damping discrimination bounds")
     p.add_argument("--p-min", type=float, default=0.8)
@@ -212,9 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dp", type=float, default=0.01)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--m-list", type=_int_list, default=[10, 100, 1000])
-    p.set_defaults(
-        table=lambda a: cmd_ad_sweep(a.p_min, a.p_max, a.steps, a.dp, a.n, a.m_list)
-    )
+    p.set_defaults(table=cmd_ad_sweep)
 
     p = sub.add_parser("resolution", help="single-photon resolution bounds")
     p.add_argument("--eta", type=float, default=0.01)
@@ -222,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--n", type=int, default=10)
-    p.set_defaults(table=lambda a: cmd_resolution(a.eta, a.s_min, a.s_max, a.steps, a.n))
+    p.set_defaults(table=cmd_resolution)
 
     p = sub.add_parser("illumination", help="quantum illumination bounds")
     p.add_argument("--d", type=int, default=2)
@@ -231,9 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", type=float, default=1e-2)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--n", type=int, default=10)
-    p.set_defaults(
-        table=lambda a: cmd_illumination(a.d, a.b, a.eta_min, a.eta_max, a.steps, a.n)
-    )
+    p.set_defaults(table=cmd_illumination)
 
     p = sub.add_parser("metrology", help="amplitude damping estimation bounds")
     p.add_argument("--p-min", type=float, default=0.2)
@@ -241,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=7)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--dtheta", type=float, default=1e-3)
-    p.set_defaults(table=lambda a: cmd_metrology(a.p_min, a.p_max, a.steps, a.n, a.dtheta))
+    p.set_defaults(table=cmd_metrology)
 
     p = sub.add_parser("keyrate", help="secret-key-rate upper bounds")
     p.add_argument("--d", type=int, default=2)
@@ -250,9 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--measure", choices=("REE", "SE"), default="REE")
     p.add_argument("--c", type=float, default=1.0)
-    p.set_defaults(
-        table=lambda a: cmd_keyrate(a.d, a.e_r_list, a.n, a.epsilon, a.measure, a.c)
-    )
+    p.set_defaults(table=cmd_keyrate)
     return parser
 
 
@@ -270,11 +254,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 1 <= args.precision <= 17:
             raise ValueError(f"precision {args.precision} outside [1, 17]")
-        columns, rows = args.table(args)
+        rows = args.table(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _render(columns, rows, args)
+    text = _render(rows, args)
     if args.out:
         try:
             with open(_resolve_out(args.out), "w", encoding="utf-8", newline="\n") as fh:
@@ -284,11 +268,9 @@ def main(argv: list[str] | None = None) -> int:
             return 3
     else:
         sys.stdout.write(text)
-    if args.command == "oracle-verify":
-        diffs = [row[3] for row in rows]
-        if any(diff > 1e-9 for diff in diffs):
-            print("error: oracle disagrees with the closed form", file=sys.stderr)
-            return 2
+    if args.command == "oracle-verify" and any(row["abs_diff"] > 1e-9 for row in rows):
+        print("error: oracle disagrees with the closed form", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -38,11 +38,6 @@ def _report(name: str, raw: float, params: dict) -> BoundReport:
     return BoundReport(name, _clamp(raw), params, valid=raw > 0.0)
 
 
-def _raw_bound(n: int, delta: float, d_estimate: float) -> float:
-    """(1 - n*delta - D)/2 before clamping; inputs are already validated."""
-    return (1.0 - n * delta - d_estimate) / 2.0
-
-
 def _pow(F: float, k: float, log_f: float | None = None) -> float:
     """F**k in the log domain; exponents reach n^2 scale without underflow.
 
@@ -58,6 +53,14 @@ def _pow(F: float, k: float, log_f: float | None = None) -> float:
 def _fuchs(F: float, k: float, log_f: float | None = None) -> float:
     """sqrt(1 - F^k) for a validated F (see _pow for log_f)."""
     return sqrt(max(1.0 - _pow(F, k, log_f), 0.0))
+
+
+def _port_bounds(n: int, F: float, deltas: dict[int, float]) -> dict[int, float]:
+    """Unclamped (1 - n*delta_M - sqrt(1 - F^{2nM}))/2 per M of validated {M: delta_M}."""
+    log_f = log(F) if 0.0 < F < 1.0 else None
+    return {
+        M: (1.0 - n * delta - _fuchs(F, 2.0 * n * M, log_f)) / 2.0 for M, delta in deltas.items()
+    }
 
 
 def d_upper_fuchs(F: float, n: int, M: int) -> float:
@@ -85,19 +88,15 @@ def bound_B_optimized(n: int, d: int, F: float) -> BoundReport:
     _check_int(n, "count n =", 1)
     _check_int(d, "dimension", 2)
     _check_interval(F, "fidelity", 0, 1)
-    best = None
-    for M in default_m_grid(n, d):
-        delta, provenance = simulation_error(M, d)
-        d_est = d_upper_fuchs(F, n, M)
-        raw = _raw_bound(n, delta, d_est)
-        if best is None or raw > best[0]:
-            best = (raw, M, delta, provenance, d_est)
-    raw, M, delta, provenance, d_est = best
+    errors = {M: simulation_error(M, d) for M in default_m_grid(n, d)}
+    raw = _port_bounds(n, F, {M: delta for M, (delta, _) in errors.items()})
+    M = max(raw, key=raw.get)  # the first maximal M, smallest on a tie
+    delta, provenance = errors[M]
     params = {
         "n": n, "d": d, "M": M, "estimator": "fuchs", "delta": delta,
-        "delta_provenance": provenance, "d_estimate": d_est,
+        "delta_provenance": provenance, "d_estimate": d_upper_fuchs(F, n, M),
     }
-    return _report("bound_B_optimized", raw, params)
+    return _report("bound_B_optimized", raw[M], params)
 
 
 def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
@@ -129,11 +128,17 @@ def ad_discrimination_sweep(
 ) -> list[dict]:
     """Per-p bound table for discriminating damping p from p + dp.
 
-    Each row carries the optimal block-protocol error window
-    [(1 - sqrt(1 - F^{2n}))/2, F^n/2], the lower bound (1 - n*delta_bar - D)/2
-    at every fixed M in M_grid with the pair-average simulation error
-    delta_bar <= delta_M of the two channels, and the bound maximized over M
-    (grid extended so the maximum always dominates the fixed columns).
+    Each row carries the error window [(1 - sqrt(1 - F^{2n}))/2, F^n/2] of the
+    block protocol, the lower bound (1 - n*delta_bar - D)/2 at every fixed M in
+    M_grid with the pair-average simulation error delta_bar <= delta_M of the
+    two channels, and the bound maximized over M (grid extended so the maximum
+    always dominates the fixed columns).
+
+    The block columns bound only the protocol that sends one half of a
+    maximally entangled state through each use and measures the n Choi copies;
+    they are not bounds on adaptive protocols, nor on other inputs. At p = 0.3,
+    dp = 0.4, n = 1, block_lower is 0.357, but one use with input |1> already
+    reaches error 0.300. The lb_* columns bound every adaptive protocol.
     """
     _check_int(n, "count n =", 1)
     if not p_grid or not M_grid:
@@ -155,10 +160,8 @@ def ad_discrimination_sweep(
             "block_upper": _pow(F, float(n), log_f) / 2.0,
         }
         f0, f1 = _ad_factor(p0), _ad_factor(p1)
-        values = {}
-        for M, x in xis.items():
-            delta_bar = (x * f0 + x * f1) / 2.0
-            values[M] = _clamp(_raw_bound(n, delta_bar, _fuchs(F, 2.0 * n * M, log_f)))
+        delta_bar = {M: (x * f0 + x * f1) / 2.0 for M, x in xis.items()}
+        values = {M: _clamp(raw) for M, raw in _port_bounds(n, F, delta_bar).items()}
         for M in M_grid:
             row[f"lb_M{M}"] = values[M]
         argmax = max(values, key=values.get)

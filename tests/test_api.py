@@ -1,9 +1,9 @@
 """Public surface and imports, checked by AST in place of a linter.
 
 Every exported name is used somewhere outside the tests. References are
-collected from the library modules, the scripts and the benchmark: bare
-names, attribute names, and the last part of dotted "module.fn" string
-constants (the benchmark names its ops that way). Every name a library
+collected from the library modules and the benchmark: bare names, attribute
+names, and the last part of dotted "module.fn" string constants (the
+benchmark names its ops that way). Every name a library
 module imports is used in that module.
 """
 
@@ -30,7 +30,7 @@ def _exports() -> set[str]:
 
 def _references() -> set[str]:
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    files += sorted((ROOT / "perfbench").glob("*.py"))
     names = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):

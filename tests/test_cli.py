@@ -1,6 +1,9 @@
 """End-to-end CLI checks: headers, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,13 @@ class TestCsvOutput:
         lines = out.strip().split("\n")
         assert lines[0] == HEADERS[command]
         assert len(lines) > 1
+
+    def test_repeated_port_count_gives_one_column(self, capsys):
+        code, out = _run(["ad-sweep", "--steps", "2", "--m-list", "10,10"], capsys)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "p,block_lower,block_upper,lb_M10,lb_optimized,argmax_M"
+        assert all(line.count(",") == 5 for line in lines)
 
     def test_booleans_render_lowercase(self, capsys):
         _, out = _run(["xi-table", "--m-max", "4"], capsys)
@@ -119,9 +129,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    def test_nan_range_end_is_named(self, capsys):
-        assert main(["ad-sweep", "--p-max", "nan"]) == 1
-        assert capsys.readouterr().err == "error: range end nan outside [0.8, inf]\n"
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["resolution", "--s-max", "inf", "--steps", "3"], "range end inf outside [0.0, inf)"),
+            (["metrology", "--p-max", "inf", "--steps", "2"], "range end inf outside [0.2, inf)"),
+            (["resolution", "--s-min", "nan", "--s-max", "1"], "range start nan outside (-inf, inf)"),
+            (["resolution", "--s-min=-inf", "--s-max", "1"], "range start -inf outside (-inf, inf)"),
+            (["resolution", "--s-min", "inf", "--s-max", "inf", "--steps", "1"],
+             "range start inf outside (-inf, inf)"),
+            (["ad-sweep", "--p-max", "nan"], "range end nan outside [0.8, inf]"),
+        ],
+    )
+    def test_non_finite_range_end_is_named(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["keyrate", "--e-r-list", ""], ["ad-sweep", "--m-list", ""]])
+    def test_empty_list_argument_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parameter grids must be nonempty\n"
 
     def test_io_failure(self, tmp_path, capsys):
         target = tmp_path / "missing" / "table.csv"
@@ -151,6 +182,27 @@ class TestExitCodes:
     def test_oracle_verify_passes(self, capsys):
         assert main(["oracle-verify", "--m-max", "3"]) == 0
         capsys.readouterr()
+
+
+class TestProcessExitCodes:
+    """The console entry point hands main's exit code to the shell."""
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["xi-table", "--m-max", "3"], 0), (["xi-table", "--m-min", "1"], 1)]
+    )
+    def test_exit_code_reaches_the_shell(self, argv, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pbtbounds.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stdout.startswith(HEADERS["xi-table"] + "\n")
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith("error: ")
 
 
 class TestFileOutput:

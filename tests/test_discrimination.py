@@ -11,7 +11,7 @@ from pbtbounds.discrimination import (
     ad_discrimination_sweep,
     ad_fidelity,
     bound_B_near_identity,
-    _raw_bound,
+    _port_bounds,
     _report,
     bound_B_optimized,
     d_upper_fuchs,
@@ -147,19 +147,22 @@ def test_optimized_monotone_in_fidelity(n, d, F0, F1):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 50),
+    st.integers(1, 64),
     st.floats(0.0, 2.0, allow_nan=False, width=32),
     st.floats(0.0, 1.0, allow_nan=False, width=32),
     st.floats(0.0, 0.5, allow_nan=False, width=32),
 )
-def test_bound_monotone_in_delta_and_estimate(n, delta, d_est, bump):
-    def bound(delta, d_est):
-        return _report("B", _raw_bound(n, delta, d_est), {})
+def test_bound_monotone_in_delta_and_estimate(n, M, delta, F, bump):
+    # the estimate D = sqrt(1 - F^{2nM}) grows as F falls
+    def bound(delta, F):
+        return _report("B", _port_bounds(n, F, {M: delta})[M], {})
 
-    base = bound(delta, d_est)
+    base = bound(delta, F)
+    assert base.params["raw"] == (1.0 - n * delta - d_upper_fuchs(F, n, M)) / 2.0
     assert 0.0 <= base.value <= 0.5
     assert base.valid == (base.params["raw"] > 0.0)
-    assert bound(min(delta + bump, 2.0), d_est).value <= base.value + 1e-12
-    assert bound(delta, d_est + bump).value <= base.value + 1e-12
+    assert bound(min(delta + bump, 2.0), F).value <= base.value + 1e-12
+    assert bound(delta, max(F - bump, 0.0)).value <= base.value + 1e-12
 
 
 class TestNearIdentity:
