@@ -8,6 +8,7 @@ Choi matrices; the discrimination module supplies the generic bound machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import ceil, exp, inf, isfinite, log2, sqrt
 
 import numpy as np
@@ -337,12 +338,31 @@ def m_tilde(d: int, e_r: float) -> float:
 
 
 def key_rate_minimize_m(d: int, e_r: float) -> tuple[int, float]:
-    """Scan M = 2 .. max(ceil(4 m_tilde), 8) for the smallest asymptotic bound.
+    """Smallest asymptotic bound g(M) over integer M = 2 .. max(ceil(4 m_tilde), 8).
 
-    The grid is wide enough to bracket the interior minimum; e_r = 0 has no
-    finite minimizer and is rejected by m_tilde.
+    g is strictly convex in M: M e_r is linear, c/M convex, and h(M) = f(b/M)
+    with b = d(d-1), eps = b/M has
+    h'' = (b/(M^3 ln 2))(2 ln(1 + 1/eps) - 1/(1 + eps)) > 0,
+    since ln(1 + 1/eps) >= 1/(1 + eps). So the integer minimum is the first M
+    with g(M+1) >= g(M), which bisection finds in O(log M) calls. For
+    e_r >= 1e-9 at d <= 8 this is the same (argmin, minimum) as scanning the
+    grid for its first smallest value. Below that, the rounding error of g
+    (~2e-16 absolute, from log2(1 + eps)) can exceed its change over a few
+    ports near the minimum, and the two may pick different ports whose values
+    tie to ~1e-13 relative. m_tilde rejects e_r = 0, which has no finite
+    minimizer; an e_r whose grid ends above 2^53, where M + 1 is no longer an
+    exact float, is rejected too.
     """
-    M_grid = range(2, max(ceil(4.0 * m_tilde(d, e_r)), 8) + 1)
-    values = {M: key_rate_bound_asymptotic(d, e_r, M) for M in M_grid}
-    best = min(values, key=values.get)
-    return best, values[best]
+    scan_end = 4.0 * m_tilde(d, e_r)
+    if scan_end > 2.0**53:
+        raise ValueError(f"entanglement value e_r = {e_r} needs port counts above 2^53")
+    end = max(ceil(scan_end), 8)
+    g = partial(key_rate_bound_asymptotic, d, e_r)
+    lo, hi = 2, end  # the first M with g(M+1) >= g(M), or end if none, lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if g(mid + 1) >= g(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, g(lo)

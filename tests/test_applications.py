@@ -1,6 +1,7 @@
 """Optical resolution, illumination, metrology, and key-rate applications."""
 
-from math import exp, inf, log2, sqrt
+import random
+from math import ceil, exp, inf, log2, log10, sqrt
 
 import mpmath as mp
 import numpy as np
@@ -376,6 +377,27 @@ def _f_term(eps: float) -> float:
     return (1.0 + eps) * log2(1.0 + eps) - eps * log2(eps)
 
 
+def _full_scan_minimum(d: int, e_r: float) -> tuple[int, float]:
+    """Reference: every M = 2 .. max(ceil(4 m_tilde), 8), first smallest value."""
+    grid = range(2, max(ceil(4.0 * m_tilde(d, e_r)), 8) + 1)
+    values = {M: key_rate_bound_asymptotic(d, e_r, M) for M in grid}
+    best = min(values, key=values.get)
+    return best, values[best]
+
+
+def _scan_cases() -> list[tuple[int, float]]:
+    rng = random.Random(20180305)
+    cases = [
+        (d, 10.0 ** rng.uniform(-5.0, log10(log2(d))))
+        for d in (2, 3, 4, 5, 8)
+        for _ in range(40)
+    ]
+    cases += [(d, e_r) for d in (2, 3) for e_r in (1e-4, 1e-3, 1e-2)]  # the golden tables
+    cases += [(d, log2(d)) for d in (2, 3, 4, 5, 8)]  # the grid ends at its floor of 8
+    cases.append((2, 1e-9))  # m_tilde = 6.3e4
+    return cases
+
+
 class TestBinaryEntropy:
     def test_values(self):
         assert binary_entropy(0.0) == 0.0
@@ -481,6 +503,10 @@ class TestAsymptoticKeyRate:
         assert best_m == 127
         assert best == pytest.approx(0.2757036277916119, abs=1e-12)
         assert best_m > m_tilde(2, 1e-3)  # the f-term pushes the optimum up
+
+    def test_bisection_matches_full_scan(self):
+        for d, e_r in _scan_cases():
+            assert key_rate_minimize_m(d, e_r) == _full_scan_minimum(d, e_r), (d, e_r)
 
     def test_scan_is_unimodal(self):
         grid = range(2, 81)

@@ -121,6 +121,7 @@ class TestExitCodes:
             ["keyrate", "--c", "nan"],
             ["keyrate", "--c", "inf"],
             ["metrology", "--dtheta", "1e-170"],  # (dtheta/2)^2 underflows to 0
+            ["keyrate", "--e-r-list", "1e-300"],  # its port grid would end above 2^53
         ],
     )
     def test_rejected_float_exits_one_with_one_error_line(self, argv, capsys):

@@ -7,6 +7,7 @@ keeps it in step with the float-annotated parameters of the exports.
 """
 
 import inspect
+import time
 from math import inf, nan
 
 import pytest
@@ -82,6 +83,15 @@ def test_valid_call_is_accepted(name):
 def test_non_finite_float_is_rejected(name, kwargs):
     with pytest.raises(ValueError):
         getattr(P, name)(**kwargs)
+
+
+@pytest.mark.parametrize("e_r", [1e-300, 5e-324])
+def test_tiny_entanglement_value_is_rejected(e_r):
+    # its port grid would end above 2^53 (at 5e-324, m_tilde overflows to inf)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"e_r = {e_r}"):
+        P.key_rate_minimize_m(2, e_r)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_infinite_separation_keeps_its_finite_result():
