@@ -152,7 +152,7 @@ def illumination_fidelity_approx(d: int, eta: float, b: float) -> float:
     return 1.0 - (eta * d + 2.0 * b - 2.0 * sqrt(b * b + eta * d * b)) / (2.0 * (d + 1))
 
 
-def illumination_regime_ok(d: int, eta: float, b: float) -> bool:
+def illumination_regime_ok(eta: float, b: float) -> bool:
     """Leading-order expansion is trustworthy only for eta, b <= 0.05."""
     return eta <= 0.05 and b <= 0.05
 
@@ -329,12 +329,18 @@ def key_rate_bound_asymptotic(d: int, e_r: float, M: float) -> float:
 
 
 def m_tilde(d: int, e_r: float) -> float:
-    """Near-optimal port count sqrt(2 d(d-1) log2(d) / e_r); >= 2 for every accepted e_r."""
+    """Near-optimal port count sqrt(2 d(d-1) log2(d) / e_r); >= 2 for every accepted e_r.
+
+    An e_r so small that the quotient overflows to inf is rejected by name.
+    """
     _check_int(d, "dimension", 2)
     _check_interval(e_r, "entanglement value e_r =", 0, log2(d))
     if e_r == 0.0:
         raise ValueError("entanglement value 0 has no finite port count")
-    return sqrt(2.0 * d * (d - 1) * log2(d) / e_r)
+    m = sqrt(2.0 * d * (d - 1) * log2(d) / e_r)
+    if m == inf:
+        raise ValueError(f"entanglement value e_r = {e_r} gives an infinite port count at d = {d}")
+    return m
 
 
 def key_rate_minimize_m(d: int, e_r: float) -> tuple[int, float]:
@@ -350,8 +356,8 @@ def key_rate_minimize_m(d: int, e_r: float) -> tuple[int, float]:
     (~2e-16 absolute, from log2(1 + eps)) can exceed its change over a few
     ports near the minimum, and the two may pick different ports whose values
     tie to ~1e-13 relative. m_tilde rejects e_r = 0, which has no finite
-    minimizer; an e_r whose grid ends above 2^53, where M + 1 is no longer an
-    exact float, is rejected too.
+    minimizer, and an e_r whose m_tilde overflows; an e_r whose grid ends above
+    2^53, where M + 1 is no longer an exact float, is rejected too.
     """
     scan_end = 4.0 * m_tilde(d, e_r)
     if scan_end > 2.0**53:

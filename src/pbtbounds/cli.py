@@ -121,7 +121,7 @@ def cmd_illumination(args: argparse.Namespace) -> list[dict]:
             "eta": eta,
             "F_exact": apps.illumination_fidelity_exact(d, eta, b),
             "F_approx": apps.illumination_fidelity_approx(d, eta, b),
-            "approx_regime_ok": apps.illumination_regime_ok(d, eta, b),
+            "approx_regime_ok": apps.illumination_regime_ok(eta, b),
             "bound_lower": report.value,
             "separable_upper": report.params["separable_upper"],
         })
@@ -131,6 +131,8 @@ def cmd_illumination(args: argparse.Namespace) -> list[dict]:
 def cmd_metrology(args: argparse.Namespace) -> list[dict]:
     grid = _grid(args.p_min, args.p_max, args.steps)
     dtheta = args.dtheta
+    # the interval qfi_choi applies, checked first so a bad step is not blamed on p
+    _check_interval(dtheta, "step", 0, inf, lo_open=True, hi_open=True)
     for p in grid:
         if not dtheta / 2 < p < 1 - dtheta / 2:
             raise ValueError(f"p={p} leaves no room for the finite-difference step")

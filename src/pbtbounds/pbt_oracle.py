@@ -4,9 +4,10 @@ Builds the square-root-measurement protocol from first principles — port
 states, their sum, the POVM — with no reference to the closed-form xi_M, so it
 can serve as an independent check of that formula. The U x conj(U)-invariant
 resource conserves the charge w(A) - w(C), so the build runs per charge sector,
-in real arithmetic, and the ensemble keeps only each operator's sector blocks.
-The Choi matrix is read off the POVM blocks alone; the tests keep the dense
-full-space build and the explicit full-state route as references.
+in real arithmetic, and the ensemble keeps only the POVM's sector blocks: the
+port states and their sum live only inside the per-sector solve. The Choi
+matrix is read off those blocks; the tests keep the dense full-space build and
+the explicit full-state route as references.
 
 Qubit ordering: measured registers [C, A_1..A_M] (dimension 2^{M+1}); D is the
 reference purifying C and B_i the receiver half of port i.
@@ -22,7 +23,7 @@ from .channels import ChoiMatrix
 from .linalg import Array, DensityMatrix, _check_int
 from .pbt import _depolarizing_choi_matrix  # a function of x only; xi_M is never read
 
-# At M = 8: ten sector eigensolves (126 dims at most), 6.3 MiB of blocks, 15-26 ms on one core.
+# At M = 8: ten sector eigensolves (126 dims at most), 3.0 MiB of blocks, 15-26 ms on one core.
 M_MAX = 8
 # Residual allowed between the computed Choi matrix and its isotropic fit.
 TOL_ISO = 1e-9
@@ -30,34 +31,26 @@ TOL_ISO = 1e-9
 
 @dataclass(frozen=True)
 class PbtEnsemble:
-    """Measurement data of the M-port protocol on registers [C, A_1..A_M], per charge sector.
+    """Square-root measurement of the M-port protocol on registers [C, A_1..A_M], per charge sector.
 
     sectors[k] lists in ascending order the basis states of charge
-    w(A) - w(C) = k - 1; every operator below vanishes off these sectors, so
-    only its block on each is kept, in that order. rho_sum[k] is the block of
-    rho = sum_i sigma^i, and sigma[k], povm[k] are (M, n_k, n_k) stacks whose
-    entry i-1 is the block of the (subnormalized) state signalling port i and of
-    the square-root measurement element Pi^i, completed by the equal split of
-    the kernel projector (see build_ensemble). The layout and the sums are
+    w(A) - w(C) = k - 1; every POVM element vanishes off these sectors, so
+    only its blocks are kept, in that order. povm[k] is an (M, n_k, n_k) stack
+    whose entry i-1 is the block of Pi^i, completed by the equal split of the
+    kernel projector (see build_ensemble). The layout and the identity sum are
     checked here; positivity, fixed by M, in the tests.
     """
 
     M: int
     sectors: tuple[Array, ...]
-    rho_sum: tuple[Array, ...]
-    sigma: tuple[Array, ...]
     povm: tuple[Array, ...]
 
     def __post_init__(self):
         _check_int(self.M, "port count", 2, M_MAX)
         if not np.array_equal(np.sort(np.concatenate(self.sectors)), np.arange(2 ** (self.M + 1))):
             raise ValueError("sectors do not partition the basis")
-        shapes = [(s.size, s.size) for s in self.sectors]
-        layout = [[b.shape for b in blocks] for blocks in (self.rho_sum, self.sigma, self.povm)]
-        if layout != [shapes, *[[(self.M, *n) for n in shapes]] * 2]:
+        if [P.shape for P in self.povm] != [(self.M, s.size, s.size) for s in self.sectors]:
             raise ValueError("block shapes do not match the sector sizes")
-        if max(np.abs(s.sum(axis=0) - r).max() for s, r in zip(self.sigma, self.rho_sum)) > 1e-10:
-            raise ValueError("rho_sum is not the sum of the sigma states")
         if max(np.abs(P.sum(axis=0) - np.eye(P.shape[-1])).max() for P in self.povm) > 1e-10:
             raise ValueError("POVM does not resolve the identity")
 
@@ -92,7 +85,7 @@ def build_ensemble(M: int) -> PbtEnsemble:
     states = np.arange(2 ** (M + 1))
     charge = (states[:, None] >> np.arange(M) & 1).sum(axis=1) - (states >> M)
     sectors = tuple(np.flatnonzero(charge == q) for q in range(-1, M + 1))
-    blocks = []  # (rho, sigma, povm) of each sector
+    povm = []
     for sector in sectors:
         pairs = _sector_pairs(sector, M)[1]
         sigma = np.zeros((M, sector.size, sector.size))
@@ -103,8 +96,8 @@ def build_ensemble(M: int) -> PbtEnsemble:
         support, kernel = vecs[:, live], vecs[:, ~live]
         S = (support / np.sqrt(evals[live])) @ support.T
         SV = S[:, pairs].sum(axis=1).transpose(1, 0, 2)
-        blocks.append((rho, sigma, SV @ SV.transpose(0, 2, 1) / 2**M + kernel @ kernel.T / M))
-    return PbtEnsemble(M, sectors, *zip(*blocks))
+        povm.append(SV @ SV.transpose(0, 2, 1) / 2**M + kernel @ kernel.T / M)
+    return PbtEnsemble(M, sectors, tuple(povm))
 
 
 def _isotropic_fit(J: Array) -> float:

@@ -209,9 +209,9 @@ class TestIlluminationApprox:
                 assert gap <= max(eta**1.5, b)
 
     def test_regime_flag(self):
-        assert illumination_regime_ok(2, 0.01, 0.01)
-        assert not illumination_regime_ok(2, 0.2, 0.01)
-        assert not illumination_regime_ok(2, 0.01, 0.2)
+        assert illumination_regime_ok(0.01, 0.01)
+        assert not illumination_regime_ok(0.2, 0.01)
+        assert not illumination_regime_ok(0.01, 0.2)
 
 
 class TestIlluminationBound:
@@ -539,3 +539,12 @@ class TestAsymptoticKeyRate:
             KeyRateParams(d, log2(d))
             assert m_tilde(d, log2(d)) == pytest.approx(sqrt(2.0 * d * (d - 1)), rel=1e-15)
             assert m_tilde(d, log2(d)) >= 2.0
+
+    @pytest.mark.parametrize("d, e_r", [(2, 5e-324), (3, 1e-308)])
+    def test_m_tilde_overflow_is_rejected(self, d, e_r):
+        # 2d(d-1) log2(d) / e_r overflows to inf; the port count must not be inf
+        with pytest.raises(ValueError, match=f"e_r = {e_r} gives an infinite port count"):
+            m_tilde(d, e_r)
+
+    def test_m_tilde_stays_finite_near_overflow(self):
+        assert m_tilde(2, 1e-300) == pytest.approx(2e150, rel=1e-15)

@@ -140,6 +140,9 @@ class TestExitCodes:
             (["resolution", "--s-min", "inf", "--s-max", "inf", "--steps", "1"],
              "range start inf outside (-inf, inf)"),
             (["ad-sweep", "--p-max", "nan"], "range end nan outside [0.8, inf]"),
+            # the step is checked before the grid points, so p is not blamed
+            (["metrology", "--dtheta", "nan"], "step nan outside (0, inf)"),
+            (["metrology", "--dtheta", "inf"], "step inf outside (0, inf)"),
         ],
     )
     def test_non_finite_range_end_is_named(self, argv, message, capsys):

@@ -38,15 +38,12 @@ def _entangled_vector(M):
 
 
 def _dense(ens):
-    """The ensemble's sector blocks embedded in dense 2^{M+1}-dim arrays:
-    the (M, dim, dim) sigma stack, rho and the (M, dim, dim) POVM stack."""
-    M, dim = ens.M, 2 ** (ens.M + 1)
-    sigma, rho, povm = np.zeros((M, dim, dim)), np.zeros((dim, dim)), np.zeros((M, dim, dim))
-    for s, r, sig, P in zip(ens.sectors, ens.rho_sum, ens.sigma, ens.povm):
-        rho[np.ix_(s, s)] = r
-        sigma[:, s[:, None], s] = sig
+    """The ensemble's POVM blocks embedded in a dense (M, 2^{M+1}, 2^{M+1}) stack."""
+    dim = 2 ** (ens.M + 1)
+    povm = np.zeros((ens.M, dim, dim))
+    for s, P in zip(ens.sectors, ens.povm):
         povm[:, s[:, None], s] = P
-    return sigma, rho, povm
+    return povm
 
 
 def _port_outputs(ens):
@@ -62,7 +59,7 @@ def _port_outputs(ens):
     psi_mat = psi.reshape(dim_ca, dim_ca)  # rows (C,A); cols (D,B)
     psi_t = psi.reshape((2,) * n)
     taus = []
-    for i, P in enumerate(_dense(ens)[2], start=1):
+    for i, P in enumerate(_dense(ens), start=1):
         measured = (P @ psi_mat).reshape((2,) * n)
         keep = [M + 1, M + 1 + i]  # D, B_i
         rest = [q for q in range(n) if q not in keep]
@@ -114,15 +111,8 @@ def _charge(M):
 class TestEnsemble:
     def test_povm_completeness(self):
         for M in (2, 3, 4):
-            povm = _dense(build_ensemble(M))[2]
+            povm = _dense(build_ensemble(M))
             assert np.abs(povm.sum(axis=0) - np.eye(2 ** (M + 1))).max() < 1e-10
-
-    def test_rho_rank_deficiency(self):
-        # the kernel of rho is spanned by exactly M + 2 states
-        for M in (2, 3, 4):
-            ens = build_ensemble(M)
-            kernel = [int(np.sum(np.linalg.eigvalsh(r) < 1e-10)) for r in ens.rho_sum]
-            assert sum(kernel) == M + 2
 
     def test_outcome_probabilities_uniform(self):
         for M in (2, 3, 5):
@@ -139,28 +129,27 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("M", range(2, M_MAX + 1))
     def test_measurement_data_positive_semidefinite(self, M):
-        # construction checks only the sums; the ensemble is a fixed function
+        # construction checks only the sum; the ensemble is a fixed function
         # of M, so positivity is pinned here once for every supported M, block
-        # by block (every operator vanishes off its sector blocks)
-        ens = build_ensemble(M)
-        for stack in (*ens.sigma, *ens.povm):
+        # by block (every POVM element vanishes off its sector blocks)
+        for stack in build_ensemble(M).povm:
             assert np.linalg.eigvalsh(stack).min() >= -1e-9
 
     @pytest.mark.parametrize("M", range(2, 8))
     def test_sector_build_matches_dense_reference(self, M):
+        # sigma and rho feed both builds, so a fault in either shows up in Pi
         ens = build_ensemble(M)
-        got, want = _dense(ens), _dense_ensemble(M)
-        assert [g.shape for g in got] == [w.shape for w in want]
-        assert all(b.dtype == np.float64 for b in (*ens.rho_sum, *ens.sigma, *ens.povm))
-        assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-12
+        got, want = _dense(ens), _dense_ensemble(M)[2]
+        assert got.shape == want.shape
+        assert all(P.dtype == np.float64 for P in ens.povm)
+        assert np.abs(got - want).max() < 1e-12
 
     def test_storage_is_per_sector(self):
-        # sum_q C(M+1, q+1)^2 = C(2M+2, M+1) entries per operator, for rho and
-        # the M sigma and M POVM blocks; dense storage would hold 4^{M+1} each
+        # sum_q C(M+1, q+1)^2 = C(2M+2, M+1) entries per POVM element, for
+        # each of the M; dense storage would hold 4^{M+1} each
         M = 8
-        ens = build_ensemble(M)
-        floats = sum(b.size for b in (*ens.rho_sum, *ens.sigma, *ens.povm))
-        assert floats == (2 * M + 1) * comb(2 * M + 2, M + 1)
+        floats = sum(P.size for P in build_ensemble(M).povm)
+        assert floats == M * comb(2 * M + 2, M + 1)
 
     @pytest.mark.parametrize("M", range(2, 7))
     def test_dense_reference_conserves_charge(self, M):
@@ -182,30 +171,27 @@ class TestEnsemble:
         ens = build_ensemble(2)
         broken = (*ens.povm[:2], ens.povm[2] * 0.9, *ens.povm[3:])
         with pytest.raises(ValueError, match="identity"):
-            PbtEnsemble(2, ens.sectors, ens.rho_sum, ens.sigma, broken)
-        broken = (*ens.rho_sum[:2], ens.rho_sum[2] * 0.5, *ens.rho_sum[3:])
-        with pytest.raises(ValueError, match="rho_sum"):
-            PbtEnsemble(2, ens.sectors, broken, ens.sigma, ens.povm)
+            PbtEnsemble(2, ens.sectors, broken)
 
     def test_malformed_layout_rejected(self):
         ens = build_ensemble(3)
-        blocks = (ens.rho_sum, ens.sigma, ens.povm)
         s = ens.sectors
         missing = (s[0], s[1][:-1], *s[2:])
         duplicated = (s[0], np.append(s[1], s[2][0]), *s[2:])
         for sectors in (missing, duplicated):
             with pytest.raises(ValueError, match="partition"):
-                PbtEnsemble(3, sectors, *blocks)
+                PbtEnsemble(3, sectors, ens.povm)
         # a partition whose sector sizes no longer match the blocks
         moved = (s[0], s[1][:-1], np.append(s[2], s[1][-1]), *s[3:])
         with pytest.raises(ValueError, match="block shapes"):
-            PbtEnsemble(3, moved, *blocks)
+            PbtEnsemble(3, moved, ens.povm)
         # one block cut short, the layout left as it is
         cut = (*ens.povm[:2], ens.povm[2][:, :-1, :-1], *ens.povm[3:])
         with pytest.raises(ValueError, match="block shapes"):
-            PbtEnsemble(3, s, ens.rho_sum, ens.sigma, cut)
+            PbtEnsemble(3, s, cut)
+        # one sector's block missing
         with pytest.raises(ValueError, match="block shapes"):
-            PbtEnsemble(3, s, ens.rho_sum[:-1], ens.sigma, ens.povm)
+            PbtEnsemble(3, s, ens.povm[:-1])
 
 
 class TestChoiExtraction:

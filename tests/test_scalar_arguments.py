@@ -87,7 +87,8 @@ def test_non_finite_float_is_rejected(name, kwargs):
 
 @pytest.mark.parametrize("e_r", [1e-300, 5e-324])
 def test_tiny_entanglement_value_is_rejected(e_r):
-    # its port grid would end above 2^53 (at 5e-324, m_tilde overflows to inf)
+    # its port grid would end above 2^53 (at 5e-324, m_tilde itself rejects it:
+    # the port count overflows to inf)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"e_r = {e_r}"):
         P.key_rate_minimize_m(2, e_r)
