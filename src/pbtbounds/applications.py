@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import ceil, exp, inf, isfinite, log2, sqrt
+from math import ceil, exp, inf, isfinite, log, log1p, log2, sqrt
 
 import numpy as np
 
 from .discrimination import BoundReport, _report, bound_B_near_identity
-from .linalg import DensityMatrix, _as_matrix, _check_int, _check_interval, fidelity
+from .linalg import DensityMatrix, _as_matrix, _check_int, _check_interval, _trusted, fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def resolution_chois(eta: float, s: float) -> tuple[DensityMatrix, DensityMatrix
         psi /= sqrt(1.0 + eta)
         mat = (1.0 + eta) / 2.0 * np.outer(psi, psi.conj())
         mat += (1.0 - eta) / 2.0 * np.outer(lost, lost.conj())
-        states.append(DensityMatrix(mat, (2, 3)))
+        states.append(_trusted(DensityMatrix, mat, (2, 3)))
     return states[0], states[1]
 
 
@@ -94,12 +94,12 @@ def illumination_chois(d: int, eta: float, b: float) -> tuple[DensityMatrix, Den
     _check_int(d, "mode count", 1)
     _check_interval(eta, "reflectivity", 0, 1)
     _check_interval(d * b, "thermal occupation d*b =", 0, 1, hi_open=True)
-    D = d + 1
+    D = int(d) + 1
     thermal = np.diag([1.0 - d * b] + [b] * d).astype(complex)
     sigma = np.kron(thermal, np.eye(D) / D)
     psi = np.eye(D, dtype=complex).reshape(D * D) / sqrt(D)
     rho = (1.0 - eta) * sigma + eta * np.outer(psi, psi.conj())
-    return DensityMatrix(sigma, (D, D)), DensityMatrix(rho, (D, D))
+    return _trusted(DensityMatrix, sigma, (D, D)), _trusted(DensityMatrix, rho, (D, D))
 
 
 def _illumination_fidelity_structured(d: int, eta: float, b: float) -> float:
@@ -218,6 +218,8 @@ def qfi_choi(
     _check_interval(dtheta, "step", 0, inf, lo_open=True, hi_open=True)
     if (dtheta / 2.0) ** 2 == 0.0:
         raise ValueError(f"step {dtheta} is so small that (step/2)^2 underflows to 0")
+    if np.ndim(theta) > 1:
+        raise ValueError(f"theta must be a float or a 1-D array, got {np.ndim(theta)} dimensions")
     fine = dtheta / 2.0
     points = (theta - dtheta / 2.0, theta + dtheta / 2.0, theta - fine / 2.0, theta + fine / 2.0)
     states = np.stack([_as_matrix(choi_at(t)) for t in points], axis=-3)
@@ -317,14 +319,14 @@ def key_rate_bound_finite(params: KeyRateParams, M: int, delta: float) -> KeyRat
 def key_rate_bound_asymptotic(d: int, e_r: float, M: float) -> float:
     """Asymptotic bound M e_r + (2d(d-1)/M) log2 d + f(d(d-1)/M).
 
-    f(eps) = (1+eps) log2(1+eps) - eps log2 eps. M may be fractional so the
-    analytic port choice m_tilde can be evaluated directly.
+    f(eps) = (1+eps) log1p(eps)/ln 2 - eps log2 eps, within 1e-15 relative of
+    40-digit mpmath for e_r >= 1e-12. M may be fractional, so m_tilde can be evaluated directly.
     """
     _check_int(d, "dimension", 2)
     _check_interval(e_r, "entanglement value e_r =", 0, log2(d))
     _check_interval(M, "port count", 2, inf, hi_open=True)
     eps = d * (d - 1) / M
-    f = (1.0 + eps) * log2(1.0 + eps) - eps * log2(eps)
+    f = (1.0 + eps) * log1p(eps) / log(2.0) - eps * log2(eps)
     return M * e_r + (2.0 * d * (d - 1) / M) * log2(d) + f
 
 
@@ -351,13 +353,12 @@ def key_rate_minimize_m(d: int, e_r: float) -> tuple[int, float]:
     h'' = (b/(M^3 ln 2))(2 ln(1 + 1/eps) - 1/(1 + eps)) > 0,
     since ln(1 + 1/eps) >= 1/(1 + eps). So the integer minimum is the first M
     with g(M+1) >= g(M), which bisection finds in O(log M) calls. For
-    e_r >= 1e-9 at d <= 8 this is the same (argmin, minimum) as scanning the
-    grid for its first smallest value. Below that, the rounding error of g
-    (~2e-16 absolute, from log2(1 + eps)) can exceed its change over a few
-    ports near the minimum, and the two may pick different ports whose values
-    tie to ~1e-13 relative. m_tilde rejects e_r = 0, which has no finite
-    minimizer, and an e_r whose m_tilde overflows; an e_r whose grid ends above
-    2^53, where M + 1 is no longer an exact float, is rejected too.
+    e_r >= 1e-12 at d <= 8 this is the same (argmin, minimum) as scanning the
+    whole grid for its first smallest value. Below that, g's rounding error (a
+    few ulp) can exceed its change over a port near the minimum, and the two
+    may pick neighbouring ports whose values tie to rounding. m_tilde rejects
+    e_r = 0, which has no finite minimizer, and an e_r whose m_tilde overflows;
+    an e_r whose grid ends above 2^53, where M + 1 is no longer exact, is rejected too.
     """
     scan_end = 4.0 * m_tilde(d, e_r)
     if scan_end > 2.0**53:

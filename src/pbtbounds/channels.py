@@ -12,7 +12,7 @@ from math import sqrt
 
 import numpy as np
 
-from .linalg import TOL_NUM, Array, DensityMatrix, _check_interval, _partial_trace_2
+from .linalg import TOL_NUM, Array, DensityMatrix, _check_interval, _partial_trace_2, _trusted
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,14 @@ def choi(ch: KrausChannel) -> ChoiMatrix:
     These are the products the matrix route (I (x) K) Phi (I (x) K)^dag
     forms, so J equals it bit for bit for real Kraus operators and to
     rounding (~1e-17) for complex ones. A stacked channel gives a stacked J
-    whose members equal the single-channel J bit for bit. J is validated once.
+    whose members equal the single-channel J bit for bit. J carries the Kraus set's tolerance.
     """
     phi = (1.0 / sqrt(ch.d_in)) * (1.0 / sqrt(ch.d_in))
     out = 0
     for K in ch.kraus_ops:
         w = K.swapaxes(-1, -2).reshape(K.shape[:-2] + (-1,))
         out = out + (w * phi)[..., :, None] * w.conj()[..., None, :]
-    return ChoiMatrix(DensityMatrix(out, (ch.d_in, ch.d_out)))
+    return _trusted(ChoiMatrix, _trusted(DensityMatrix, out, (int(ch.d_in), int(ch.d_out))))
 
 
 def amplitude_damping(p) -> KrausChannel:

@@ -53,9 +53,10 @@ class DensityMatrix:
 
     dims lists the tensor factors in order; their product must equal the
     matrix dimension. Hermiticity, positivity and normalization are checked
-    on construction. matrix may be a stack (..., n, n) of states sharing one
-    dims; every member is checked, with the tolerances and messages of a
-    single matrix (a bad trace names the first offending member's trace).
+    on construction, for every member of a stack (..., n, n) sharing one dims,
+    with the tolerances and messages of a single matrix (a bad trace names the
+    first offending member's trace). A state the library derives from validated
+    inputs is stored unchecked by _trusted and carries its input's tolerance.
     """
 
     matrix: Array
@@ -82,6 +83,13 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+
+def _trusted(cls, *values):
+    """cls(*values), stored without __post_init__; only for states built from validated inputs."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def psd_sqrt(A) -> Array:

@@ -15,7 +15,8 @@ from math import ldexp, sqrt
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, choi
-from .linalg import TOL_NUM, Array, DensityMatrix, _check_int, _check_interval, _partial_trace_2
+from .linalg import (TOL_NUM, Array, DensityMatrix, _check_int, _check_interval, _partial_trace_2,
+                     _trusted)
 
 
 def _binomial_window(M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +122,7 @@ def _depolarizing_choi_matrix(x: float) -> Array:
 
 def pbt_choi_qubit(M: int) -> ChoiMatrix:
     """Choi matrix of the M-port qubit channel (isotropic form in xi_M)."""
-    return ChoiMatrix(DensityMatrix(_depolarizing_choi_matrix(xi(M)), (2, 2)))
+    return _trusted(ChoiMatrix, _trusted(DensityMatrix, _depolarizing_choi_matrix(xi(M)), (2, 2)))
 
 
 def simulate_channel_choi(ch: KrausChannel, M: int) -> ChoiMatrix:
@@ -138,10 +139,10 @@ def simulate_channel_choi(ch: KrausChannel, M: int) -> ChoiMatrix:
         raise ValueError("simulation takes one channel, not a stack")
     x = xi(M)
     J = choi(ch)
-    d = ch.d_out
     out_mixed = _partial_trace_2(J.matrix, J.state.dims, 1)
-    mixed = (np.eye(2)[:, None, :, None] / 2 * out_mixed[None, :, None, :]).reshape(2 * d, 2 * d)
-    return ChoiMatrix(DensityMatrix((1.0 - x) * J.matrix + x * mixed, J.state.dims))
+    mixed = (np.eye(2)[:, None, :, None] / 2 * out_mixed[None, :, None, :]).reshape(J.matrix.shape)
+    sim = (1.0 - x) * J.matrix + x * mixed
+    return _trusted(ChoiMatrix, _trusted(DensityMatrix, sim, J.state.dims))
 
 
 def diamond_via_choi_scalar_check(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float | None:

@@ -267,9 +267,10 @@ def _ad_choi_family(p: float):
 
 
 # non-finite finite-difference steps and Choi QFIs (zero and negative ones are
-# in TestQfi and TestMetrologyBound)
+# in TestQfi and TestMetrologyBound), and a theta of more than one dimension
 _BAD_METROLOGY = (
     [(qfi_choi, (_ad_choi_family, 0.5, h), "step") for h in (np.nan, np.inf)]
+    + [(qfi_choi, (_ad_choi_family, np.full((1, 2), 0.5)), "theta must be a float or a 1-D array")]
     + [(metrology_bound, (10, q), "QFI") for q in (np.nan, np.inf)]
 )
 _REJECTION_CASES = (
@@ -375,6 +376,15 @@ class TestMetrologyBound:
 
 def _f_term(eps: float) -> float:
     return (1.0 + eps) * log2(1.0 + eps) - eps * log2(eps)
+
+
+def _asymptotic_mp(d: int, e_r: float, M: float) -> float:
+    """key_rate_bound_asymptotic in 40-digit mpmath."""
+    with mp.workdps(40):
+        d, e_r, M = mp.mpf(d), mp.mpf(e_r), mp.mpf(M)
+        eps = d * (d - 1) / M
+        f = (1 + eps) * mp.log(1 + eps, 2) - eps * mp.log(eps, 2)
+        return float(M * e_r + (2 * d * (d - 1) / M) * mp.log(d, 2) + f)
 
 
 def _full_scan_minimum(d: int, e_r: float) -> tuple[int, float]:
@@ -503,6 +513,16 @@ class TestAsymptoticKeyRate:
         assert best_m == 127
         assert best == pytest.approx(0.2757036277916119, abs=1e-12)
         assert best_m > m_tilde(2, 1e-3)  # the f-term pushes the optimum up
+
+    def test_matches_mpmath_down_to_tiny_e_r(self):
+        # f takes log1p(eps): forming 1 + eps first was off by ~2e-16 absolute,
+        # 6e-12 relative near the minimum at e_r = 1e-12
+        for d in (2, 3, 5, 8):
+            for e_r in (10.0**-k for k in range(2, 13)):
+                mt = m_tilde(d, e_r)
+                for M in {max(mt / 3, 2.0), mt, float(round(mt)), 3 * mt, 2.0}:
+                    want = pytest.approx(_asymptotic_mp(d, e_r, M), rel=1e-15, abs=0)
+                    assert key_rate_bound_asymptotic(d, e_r, M) == want, (d, e_r, M)
 
     def test_bisection_matches_full_scan(self):
         for d, e_r in _scan_cases():
