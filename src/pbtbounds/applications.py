@@ -218,13 +218,14 @@ def qfi_choi(
     _check_interval(dtheta, "step", 0, inf, lo_open=True, hi_open=True)
     if (dtheta / 2.0) ** 2 == 0.0:
         raise ValueError(f"step {dtheta} is so small that (step/2)^2 underflows to 0")
-    if np.ndim(theta) > 1:
-        raise ValueError(f"theta must be a float or a 1-D array, got {np.ndim(theta)} dimensions")
+    theta = np.asarray(theta, dtype=float)  # a list works as the 1-D form
+    if theta.ndim > 1:
+        raise ValueError(f"theta must be a float or a 1-D array, got {theta.ndim} dimensions")
     fine = dtheta / 2.0
     points = (theta - dtheta / 2.0, theta + dtheta / 2.0, theta - fine / 2.0, theta + fine / 2.0)
     states = np.stack([_as_matrix(choi_at(t)) for t in points], axis=-3)
     F = fidelity(states[..., 0::2, :, :], states[..., 1::2, :, :])
-    if np.ndim(theta) == 0:
+    if theta.ndim == 0:
         return _qfi_from_fidelities(*F, dtheta)
     return [_qfi_from_fidelities(F_coarse, F_fine, dtheta) for F_coarse, F_fine in F]
 

@@ -12,7 +12,8 @@ from math import sqrt
 
 import numpy as np
 
-from .linalg import TOL_NUM, Array, DensityMatrix, _check_interval, _partial_trace_2, _trusted
+from .linalg import (TOL_NUM, Array, DensityMatrix, _check_int, _check_interval, _partial_trace_2,
+                     _trusted)
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,8 @@ class KrausChannel:
     d_out: int
 
     def __post_init__(self):
+        _check_int(self.d_in, "input dimension", 1)
+        _check_int(self.d_out, "output dimension", 1)
         ops = tuple(np.asarray(K, dtype=complex) for K in self.kraus_ops)
         object.__setattr__(self, "kraus_ops", ops)
         if not ops:

@@ -67,11 +67,11 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 def cmd_xi_table(args: argparse.Namespace) -> list[dict]:
     if not 2 <= args.m_min <= args.m_max:
         raise ValueError(f"need 2 <= M_min <= M_max, got [{args.m_min}, {args.m_max}]")
+    grid = range(args.m_min, args.m_max + 1)
+    xis, fes = pbt._series(pbt._check_ports(grid))
     rows = []
-    for M in range(args.m_min, args.m_max + 1):
-        x = pbt.xi(M)
-        fe = pbt.entanglement_fidelity_qubit(M)
-        delta = pbt.delta_exact_qubit(M)
+    for M, x, fe in zip(grid, xis.tolist(), fes.tolist()):
+        delta = 1.5 * x  # pbt.delta_exact_qubit
         rows.append({
             "M": M, "xi": x, "f_e": fe, "delta": delta, "delta_upper": pbt.delta_upper(M, 2),
             "M_xi": M * x, "identity_ok": abs(fe + delta / 2 - 1) < 1e-10,
@@ -83,6 +83,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> list[dict]:
     if not 2 <= args.m_max <= pbt_oracle.M_MAX:
         raise ValueError(f"M_max {args.m_max} outside [2, {pbt_oracle.M_MAX}]")
     rows = []
+    # per M through the memo: pbt_choi_qubit(M) then reuses the closed-form xi
     for M in range(2, args.m_max + 1):
         closed = pbt.xi(M)
         J = pbt_oracle.oracle_channel_choi(M).matrix

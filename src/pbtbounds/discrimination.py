@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import exp, inf, log, sqrt
 
-from .linalg import _check_int, _check_interval
-from .pbt import _ad_factor, simulation_error, xi
+import numpy as np
+
+from .linalg import Array, _check_int, _check_interval
+from .pbt import _ad_factor, _check_ports, _series, _simulation_errors
 
 
 @dataclass(frozen=True)
@@ -29,8 +31,9 @@ class BoundReport:
     valid: bool = True
 
 
-def _clamp(raw: float) -> float:
-    return min(max(raw, 0.0), 0.5)
+def _clamp(raw):
+    """raw clamped to [0, 0.5], entrywise for an array."""
+    return np.clip(raw, 0.0, 0.5) if isinstance(raw, np.ndarray) else min(max(raw, 0.0), 0.5)
 
 
 def _report(name: str, raw: float, params: dict) -> BoundReport:
@@ -38,29 +41,31 @@ def _report(name: str, raw: float, params: dict) -> BoundReport:
     return BoundReport(name, _clamp(raw), params, valid=raw > 0.0)
 
 
-def _pow(F: float, k: float, log_f: float | None = None) -> float:
-    """F**k in the log domain; exponents reach n^2 scale without underflow.
+def _log_f(F: float) -> float:
+    """log F of a validated fidelity, -inf at F = 0."""
+    return log(F) if F > 0.0 else -inf
 
-    A caller raising one F to many k passes log_f = log(F) to take it once.
+
+def _pow(log_f, k) -> Array:
+    """F**k = exp(k log F) entrywise, in the log domain so exponents reach n^2
+    scale without underflow; F = 1 gives 1 and F = 0 gives 0.
+
+    Each entry goes through math.exp, which rounds as the scalar formula does;
+    np.exp need not, and the tables are pinned to that rounding.
     """
-    if F == 0.0:
-        return 0.0
-    if F == 1.0:
-        return 1.0
-    return exp(k * (log(F) if log_f is None else log_f))
+    x = np.multiply(k, log_f)
+    return np.fromiter(map(exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _fuchs(F: float, k: float, log_f: float | None = None) -> float:
-    """sqrt(1 - F^k) for a validated F (see _pow for log_f)."""
-    return sqrt(max(1.0 - _pow(F, k, log_f), 0.0))
+def _fuchs(log_f, k) -> Array:
+    """sqrt(1 - F^k) entrywise (see _pow)."""
+    return np.sqrt(np.maximum(1.0 - _pow(log_f, k), 0.0))
 
 
-def _port_bounds(n: int, F: float, deltas: dict[int, float]) -> dict[int, float]:
-    """Unclamped (1 - n*delta_M - sqrt(1 - F^{2nM}))/2 per M of validated {M: delta_M}."""
-    log_f = log(F) if 0.0 < F < 1.0 else None
-    return {
-        M: (1.0 - n * delta - _fuchs(F, 2.0 * n * M, log_f)) / 2.0 for M, delta in deltas.items()
-    }
+def _port_bounds(n: int, log_f, Ms: Array, deltas: Array) -> Array:
+    """Unclamped (1 - n*delta_M - sqrt(1 - F^{2nM}))/2 for port counts Ms (as floats)
+    with simulation errors deltas; log_f = _log_f(F) broadcasts against both."""
+    return (1.0 - n * deltas - _fuchs(log_f, 2.0 * n * Ms)) / 2.0
 
 
 def d_upper_fuchs(F: float, n: int, M: int) -> float:
@@ -68,7 +73,7 @@ def d_upper_fuchs(F: float, n: int, M: int) -> float:
     _check_interval(F, "fidelity", 0, 1)
     _check_int(n, "count n =", 1)
     _check_int(M, "count M =", 1)
-    return _fuchs(F, 2.0 * n * M)
+    return float(_fuchs(_log_f(F), 2.0 * n * M))
 
 
 def default_m_grid(n: int, d: int) -> list[int]:
@@ -88,15 +93,16 @@ def bound_B_optimized(n: int, d: int, F: float) -> BoundReport:
     _check_int(n, "count n =", 1)
     _check_int(d, "dimension", 2)
     _check_interval(F, "fidelity", 0, 1)
-    errors = {M: simulation_error(M, d) for M in default_m_grid(n, d)}
-    raw = _port_bounds(n, F, {M: delta for M, (delta, _) in errors.items()})
-    M = max(raw, key=raw.get)  # the first maximal M, smallest on a tie
-    delta, provenance = errors[M]
+    grid = default_m_grid(n, d)
+    deltas, provenance = _simulation_errors(grid, d)
+    raw = _port_bounds(n, _log_f(F), np.array(grid, dtype=float), deltas)
+    i = int(raw.argmax())  # the first maximal M, smallest on a tie
+    M = grid[i]
     params = {
-        "n": n, "d": d, "M": M, "estimator": "fuchs", "delta": delta,
+        "n": n, "d": d, "M": M, "estimator": "fuchs", "delta": float(deltas[i]),
         "delta_provenance": provenance, "d_estimate": d_upper_fuchs(F, n, M),
     }
-    return _report("bound_B_optimized", raw[M], params)
+    return _report("bound_B_optimized", float(raw[i]), params)
 
 
 def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
@@ -145,27 +151,31 @@ def ad_discrimination_sweep(
         raise ValueError("parameter grids must be nonempty")
     _check_interval(dp, "damping separation", 0, inf)
     opt_grid = sorted(set(default_m_grid(n, 2)) | set(M_grid))
-    xis = {M: xi(M) for M in opt_grid}  # validates every port count once
-    rows = []
+    xis = _series(_check_ports(opt_grid))[0]  # checks every port count once
+    log_f, factors = [], []
     for p in p_grid:
         p0, p1 = p, p + dp
         if p1 > 1.0:
             raise ValueError(f"p + dp = {p1} exceeds 1")
         F = ad_fidelity(p0, p1)
         _check_interval(F, "fidelity", 0, 1)
-        log_f = log(F) if 0.0 < F < 1.0 else None
-        row = {
-            "p": p,
-            "block_lower": (1.0 - _fuchs(F, 2.0 * n, log_f)) / 2.0,
-            "block_upper": _pow(F, float(n), log_f) / 2.0,
-        }
-        f0, f1 = _ad_factor(p0), _ad_factor(p1)
-        delta_bar = {M: (x * f0 + x * f1) / 2.0 for M, x in xis.items()}
-        values = {M: _clamp(raw) for M, raw in _port_bounds(n, F, delta_bar).items()}
-        for M in M_grid:
-            row[f"lb_M{M}"] = values[M]
-        argmax = max(values, key=values.get)
-        row["lb_optimized"] = values[argmax]
-        row["argmax_M"] = argmax
+        log_f.append(_log_f(F))
+        factors.append((_ad_factor(p0), _ad_factor(p1)))
+    # every row at once: one (p, M) array per quantity
+    log_f = np.array(log_f)
+    f0, f1 = np.array(factors).T[:, :, None]
+    delta_bar = (xis * f0 + xis * f1) / 2.0
+    values = _clamp(_port_bounds(n, log_f[:, None], np.array(opt_grid, dtype=float), delta_bar))
+    best = values.argmax(axis=1).tolist()  # the first maximal M, smallest on a tie
+    block_lower = ((1.0 - _fuchs(log_f, 2.0 * n)) / 2.0).tolist()
+    block_upper = (_pow(log_f, float(n)) / 2.0).tolist()
+    fixed = [opt_grid.index(M) for M in M_grid]
+    rows = []
+    for p, lower, upper, row_values, j_max in zip(p_grid, block_lower, block_upper, values.tolist(), best):
+        row = {"p": p, "block_lower": lower, "block_upper": upper}
+        for M, j in zip(M_grid, fixed):
+            row[f"lb_M{M}"] = row_values[j]
+        row["lb_optimized"] = row_values[j_max]
+        row["argmax_M"] = opt_grid[j_max]
         rows.append(row)
     return rows

@@ -5,12 +5,21 @@ ports: the depolarizing probability xi_M, the entanglement fidelity f_e, the
 diamond-norm simulation errors delta_M and Delta_M(p), and the Choi matrices
 of the simulated channels, which are linear in each channel's own Choi matrix
 because the M-port qubit channel is depolarizing.
+
+xi_M and f_e(M) come from one kernel that sums both series over one shared
+binomial window per M. The scalar xi and entanglement_fidelity_qubit check M
+and memoise the pair per M. Callers that need a whole grid of port counts (the
+bound optimiser, the damping sweep, the CLI tables) pass it to the kernel in
+one call: every port count is checked, nothing is memoised, and each member
+equals the scalar value bit for bit, whatever the grid's order, repeats or
+mix of sizes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
-from math import ldexp, sqrt
+from math import ceil, inf, sqrt
 
 import numpy as np
 
@@ -19,38 +28,86 @@ from .linalg import (TOL_NUM, Array, DensityMatrix, _check_int, _check_interval,
                      _trusted)
 
 
-def _binomial_window(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """k and the Binom(M, 1/2) pmf C(M, k) / 2^M for k in M//2 +- 40 sqrt(M) within [0, M].
+# A weight below e^-708 of the centre's (about the smallest normal double) is
+# dropped: its share of any of the sums is under 1e-300, far below their last bit.
+_LOG_TINY = 708
 
-    Relative to the centre the weights fall as e^{-2 x^2 / M} at distance x, so
-    up to M = 6400 the window spans [0, M] and above it every weight left out is
-    below e^{-3200} of the centre: the window's weights divided by their sum are the pmf.
-    Log-weights are cumulative sums of log-ratios taken outward from the
-    centre, which keeps the rounding of the large central weights at a few ulp.
+
+def _window(M: int) -> int:
+    """Length of the half window k = M//2, M//2 - 1, ... summed for M ports.
+
+    Binom(M, 1/2) falls from its centre c = M//2 as
+    C(M, c - j) / C(M, c) <= exp(-j^2 / (c + j + 1)), so from the first j with
+    j^2 >= 708 (c + j + 1) on every weight is below e^-708 of the centre's
+    (about j = 18.8 sqrt(M)); up to M = 2833 the window reaches k = 0.
     """
     c = M // 2
-    odd = M - 2 * c
-    up = min(M - c, int(40 * sqrt(M)))
-    k = np.arange(c, c + up, dtype=float)
-    # log C(M, c + j) / C(M, c) for j = 0..up, from C(M, k+1) / C(M, k) = (M-k)/(k+1)
-    log_up = np.concatenate(([0.0], np.cumsum(np.log1p((M - 2 * k - 1) / (k + 1)))))
-    # C(M, c - j) = C(M, c + odd + j) mirrors the lower half onto the upper one
-    down = min(c, up - odd)
-    log_w = np.concatenate((log_up[odd + 1 : odd + 1 + down][::-1], log_up))
-    ks = np.arange(c - down, c + up + 1, dtype=float)
-    w = np.exp(log_w)
-    return ks, w / w.sum()
+    a = _LOG_TINY / 2
+    return min(c + 1, ceil(a + sqrt(a * a + _LOG_TINY * (c + 1))))
+
+
+def _series(Ms: Sequence[int]) -> tuple[Array, Array]:
+    """xi_M and f_e(M) for each of the validated int port counts Ms.
+
+    Both sums run over one binomial window per M, the half k <= M/2 in the
+    variable t = M - 2k (= 2s + 1 for xi's spins), since f_e's summand is
+    symmetric under k -> M - k. The log-weights are cumulative sums of
+    log C(M, k-1) / C(M, k) taken outward from the centre, which keeps the
+    rounding of the large central weights at a few ulp. Rows of the same
+    width, the window plus at least one entry of padding rounded up to a
+    multiple of 64, go through numpy together. The width depends on M alone
+    and a -inf log-ratio after the window makes every padded weight an exact
+    0, so every M gets the same bits in any batch as on its own.
+    """
+    xi, fe = np.empty(len(Ms)), np.empty(len(Ms))
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, m in enumerate(Ms):
+        n = _window(m)
+        groups.setdefault((n // 64 + 1) * 64, []).append((i, n))
+    for width, group in groups.items():
+        rows, ends = zip(*group)
+        ports = np.array([Ms[i] for i in rows])
+        if len(rows) == 1:  # a scalar broadcasts faster than a (1, 1) column, to the same bits
+            M, ends = float(ports[0]), ends[0]
+        else:
+            M, ends = ports[:, None].astype(float), (np.arange(len(rows)), ends)
+        t = np.minimum(M % 2 + np.arange(0.0, 2 * width, 2.0), M)  # k = M//2 - j, clipped at k = 0
+        tm, tp, am, ap = t - 1, t + 1, (M + 2) - t, (M + 2) + t  # am = 2(k + 1), ap = 2(M - k + 1)
+        # log C(M, k) / C(M, k + 1) = log1p((1 - t) / ((M + t) / 2)), summed outward from t = M % 2
+        log_w = np.log1p(-2 * tm / (ap - 2))
+        log_w[..., 0] = 0.0
+        log_w[ends] = -inf  # the first padded entry; the sum stays -inf after it
+        log_w = log_w.cumsum(axis=-1)
+        # tiny weights stay 0; as subnormals they would slow exp and every product after it
+        terms = np.zeros((3, *t.shape))
+        w = np.exp(log_w, out=terms[0], where=log_w > -_LOG_TINY)
+        a, b = np.sqrt(am), np.sqrt(ap)
+        # xi: (t^2 - 1) t^2 / (g ((M+2) + sqrt(g))) with g = (M+2)^2 - t^2 = am ap, no cancellation
+        np.divide(tm * tp * (t * t) * w, am * ap * ((M + 2) + a * b), out=terms[1])
+        # f_e: ((t - 1)/sqrt(k + 1) + (t + 1)/sqrt(M - k + 1))^2 = 2 ((t - 1)/a + (t + 1)/b)^2
+        g = tm / a + tp / b
+        np.multiply(g * g, w, out=terms[2])
+        w_sum, x_sum, f_sum = terms.sum(axis=-1)
+        # the upper half mirrors the lower one, and an even M's centre t = 0 counts once
+        norm = 2 * w_sum - (1 - ports % 2)
+        # 16 w = C(M, k) / 2^(M-4) in xi; f_e doubles its half and takes 2 w / 8
+        rows = list(rows)
+        xi[rows] = np.ldexp((ports + 2) / 3, 1 - ports) + 16 * (x_sum / norm) / 12
+        fe[rows] = f_sum / norm / 2
+    return xi, fe
+
+
+def _check_ports(Ms: Sequence[int]) -> list[int]:
+    """Checks every port count of a grid; the grid forms below are not memoised."""
+    for M in Ms:
+        _check_int(M, "port count", 2)
+    return [int(M) for M in Ms]
 
 
 @lru_cache
-def _xi_sum(M: int) -> float:
-    k, w = _binomial_window(M)
-    n = (M - 1) // 2 - int(k[0]) + 1  # the spins s >= 0 have k <= (M-1)/2
-    t2 = (M - 2 * k[:n]) ** 2  # (2s + 1)^2
-    gap = (M + 2) ** 2 - t2
-    terms = (t2 - 1) * t2 * w[:n] / (gap * ((M + 2) + np.sqrt(gap)))
-    # 16 w = C(M, k) / 2^(M-4)
-    return ldexp((M + 2) / 3, 1 - M) + 16 * float(np.sum(terms)) / 12
+def _series_at(M: int) -> tuple[float, float]:
+    xi, fe = _series((M,))
+    return float(xi[0]), float(fe[0])
 
 
 def xi(M: int) -> float:
@@ -63,29 +120,25 @@ def xi(M: int) -> float:
 
     Only the binomial window around M/2 is summed, so the cost is O(sqrt M).
     Relative error is at most 1e-14 against a 40-digit mpmath sum for
-    2 <= M <= 1e6. Results are memoised per M.
+    2 <= M <= 1e6. The pair (xi_M, f_e(M)) is memoised per M; a grid of port
+    counts goes through the kernel in one call, unmemoised, and each of its
+    members equals xi(M) bit for bit.
     """
     _check_int(M, "port count", 2)
-    return _xi_sum(int(M))
-
-
-@lru_cache
-def _fidelity_sum(M: int) -> float:
-    k, w = _binomial_window(M)
-    t = (M - 2 * k - 1) / np.sqrt(k + 1) + (M - 2 * k + 1) / np.sqrt(M - k + 1)
-    return float(np.sum(t * t * w)) / 8  # w / 8 = C(M, k) / 2^(M+3)
+    return _series_at(int(M))[0]
 
 
 def entanglement_fidelity_qubit(M: int) -> float:
     """Entanglement fidelity of the M-port qubit protocol.
 
     f_e = 2^{-M-3} sum_k C(M, k) ((M-2k-1)/sqrt(k+1) + (M-2k+1)/sqrt(M-k+1))^2,
-    summed over the binomial window around M/2 in O(sqrt M). Relative error is
-    at most 1e-14 against a 40-digit mpmath sum for 2 <= M <= 1e6. Results
-    are memoised per M.
+    summed over the binomial window around M/2 in O(sqrt M), from the same
+    window and the same memo entry as xi(M). Relative error is at most 1e-14
+    against a 40-digit mpmath sum for 2 <= M <= 1e6; a grid member equals
+    the scalar call bit for bit, as for xi.
     """
     _check_int(M, "port count", 2)
-    return _fidelity_sum(int(M))
+    return _series_at(int(M))[1]
 
 
 def delta_exact_qubit(M: int) -> float:
@@ -105,12 +158,24 @@ def simulation_error(M: int, d: int) -> tuple[float, str]:
 
     'closed_form' is the exact qubit value (3/2) xi_M; for d > 2 the only
     handle is 'upper_bound', the 2d(d-1)/M bound capped at 2, which no
-    diamond distance exceeds.
+    diamond distance exceeds. _simulation_errors is the same lookup over a grid.
     """
     bound = delta_upper(M, d)  # checks M and d before the d == 2 branch
     if d == 2:
         return delta_exact_qubit(M), "closed_form"
     return min(bound, 2.0), "upper_bound"
+
+
+def _simulation_errors(Ms: Sequence[int], d: int) -> tuple[Array, str]:
+    """simulation_error over a grid of port counts: one array of delta_M, one provenance.
+
+    Each entry equals simulation_error(M, d)[0] bit for bit.
+    """
+    Ms = _check_ports(Ms)
+    _check_int(d, "dimension", 2)
+    if d == 2:
+        return 1.5 * _series(Ms)[0], "closed_form"
+    return np.minimum(2.0 * d * (d - 1) / np.array(Ms, dtype=float), 2.0), "upper_bound"
 
 
 def _depolarizing_choi_matrix(x: float) -> Array:

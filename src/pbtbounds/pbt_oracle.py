@@ -27,6 +27,8 @@ from .pbt import _depolarizing_choi_matrix  # a function of x only; xi_M is neve
 M_MAX = 8
 # Residual allowed between the computed Choi matrix and its isotropic fit.
 TOL_ISO = 1e-9
+# Sectors up to this dimension have their POVM sum checked together.
+_ONE_PASS = 16
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,15 @@ class PbtEnsemble:
             raise ValueError("sectors do not partition the basis")
         if [P.shape for P in self.povm] != [(self.M, s.size, s.size) for s in self.sectors]:
             raise ValueError("block shapes do not match the sector sizes")
-        if max(np.abs(P.sum(axis=0) - np.eye(P.shape[-1])).max() for P in self.povm) > 1e-10:
+        # the small blocks summed over the ports in one pass; a large block is
+        # checked on its own, which costs less than copying it
+        small = [P for P in self.povm if P.shape[-1] <= _ONE_PASS]
+        sums = np.concatenate([P.reshape(self.M, -1) for P in small], axis=1).sum(axis=0)
+        eye = np.concatenate([np.eye(P.shape[-1]).ravel() for P in small])
+        deviation = [np.abs(sums - eye).max()] + [
+            np.abs(P.sum(axis=0) - np.eye(P.shape[-1])).max() for P in self.povm if P.shape[-1] > _ONE_PASS
+        ]
+        if not max(deviation) <= 1e-10:
             raise ValueError("POVM does not resolve the identity")
 
 

@@ -335,6 +335,11 @@ class TestQfi:
             assert est == qfi_choi(_ad_choi_family, float(theta), 2e-3)
             assert type(est.value) is float
 
+    def test_list_theta_equals_array_theta(self):
+        assert qfi_choi(_ad_choi_family, [0.3, 0.4]) == qfi_choi(_ad_choi_family, np.array([0.3, 0.4]))
+        with pytest.raises(ValueError, match="theta must be a float or a 1-D array"):
+            qfi_choi(_ad_choi_family, [[0.3, 0.4]])
+
     def test_step_validation(self):
         with pytest.raises(ValueError):
             qfi_choi(_ad_choi_family, 0.5, dtheta=0.0)

@@ -235,8 +235,9 @@ class TestDeterminism:
 class TestGoldenTables:
     """Tables pinned byte for byte; a kernel change must reproduce them.
 
-    Default precision, except the 61-row metrology grid at 17 digits, captured
-    from the per-state route before the stacked route replaced it.
+    Default precision, except two tables at 17 digits: the 61-row metrology
+    grid, captured from the per-state route before the stacked route replaced
+    it, and the xi table, which pins the last bits of the batched xi/f_e kernel.
     """
 
     @pytest.mark.parametrize(
@@ -252,6 +253,7 @@ class TestGoldenTables:
              "illumination_d8.csv"),
             (["metrology"], "metrology_default.csv"),
             (["--precision", "17", "metrology", "--steps", "61"], "metrology_steps61.csv"),
+            (["--precision", "17", "xi-table", "--m-max", "64"], "xi_table_m64_p17.csv"),
         ],
     )
     def test_matches_committed_table(self, argv, name, capsys):

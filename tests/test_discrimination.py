@@ -3,6 +3,7 @@
 import re
 from math import exp, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from pbtbounds.discrimination import (
     ad_discrimination_sweep,
     ad_fidelity,
     bound_B_near_identity,
+    _log_f,
     _port_bounds,
     _report,
     bound_B_optimized,
@@ -155,7 +157,7 @@ def test_optimized_monotone_in_fidelity(n, d, F0, F1):
 def test_bound_monotone_in_delta_and_estimate(n, M, delta, F, bump):
     # the estimate D = sqrt(1 - F^{2nM}) grows as F falls
     def bound(delta, F):
-        return _report("B", _port_bounds(n, F, {M: delta})[M], {})
+        return _report("B", float(_port_bounds(n, _log_f(F), np.array([M]), np.array([delta]))[0]), {})
 
     base = bound(delta, F)
     assert base.params["raw"] == (1.0 - n * delta - d_upper_fuchs(F, n, M)) / 2.0

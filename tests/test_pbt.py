@@ -98,15 +98,19 @@ class TestXi:
     def test_values_survive_cache_clear(self):
         Ms = (2, 7, 64, 4096, 4097, 100_000)
         before = [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms]
-        pbt._xi_sum.cache_clear()
-        pbt._fidelity_sum.cache_clear()
+        pbt._series_at.cache_clear()
         assert [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms] == before
 
     def test_strictly_decreasing_across_binomial_switch(self):
-        # above M = 6400 the +- 40 sqrt(M) window is clipped inside [0, M]
+        # ranges around the switches of earlier windows (M = 4096, 6400)
         for lo, hi in ((2, 80), (4000, 4200), (6300, 6500)):
             values = [xi(M) for M in range(lo, hi + 1)]
             assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_strictly_decreasing_across_window_cut(self):
+        # from M = 2834 on the window stops before k = 0, where the weights fall below e^-708
+        values = [xi(M) for M in range(2700, 2901)]
+        assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_inverse_port_scaling(self):
         for M in range(10, 61):
@@ -326,3 +330,29 @@ class TestDeltaAd:
 )
 def test_delta_ad_never_exceeds_delta(M, p):
     assert delta_ad(M, p) <= delta_exact_qubit(M) + 1e-12
+
+
+# port counts from the small-M batch, around the window's cut (M = 2834),
+# around M = 4096 and 6400, and around 1e5
+_PORTS = st.one_of(
+    st.integers(2, 200), st.integers(2826, 2841), st.integers(4090, 4100),
+    st.integers(6395, 6405), st.integers(99_990, 100_010),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_PORTS, min_size=1, max_size=30))
+def test_grid_members_equal_scalar_calls(grid):
+    # unsorted, possibly repeated, mixed-width grids: each member is the
+    # memoised scalar value bit for bit
+    xis, fes = pbt._series(grid)
+    assert xis.tolist() == [xi(M) for M in grid]
+    assert fes.tolist() == [entanglement_fidelity_qubit(M) for M in grid]
+
+
+def test_grid_checks_every_port_count():
+    for bad in (1, 2.5, 4.0, True):
+        with pytest.raises(ValueError, match="port count"):
+            pbt._check_ports([3, 64, bad])
+        with pytest.raises(ValueError, match="port count"):
+            simulation_error(bad, 2)

@@ -99,3 +99,11 @@ def test_infinite_separation_keeps_its_finite_result():
     assert P.resolution_fidelity(0.5, inf) == 0.75
     assert P.resolution_bound(3, 0.5, inf).value == 0.0
 
+
+def test_float_channel_dimensions_are_named():
+    # a float dimension passes the shape comparison, so it is checked first
+    ops = P.amplitude_damping(0.3).kraus_ops
+    with pytest.raises(ValueError, match=r"^input dimension 2\.0 must be an integer >= 1$"):
+        P.KrausChannel(ops, 2.0, 2)
+    with pytest.raises(ValueError, match=r"^output dimension 2\.0 must be an integer >= 1$"):
+        P.KrausChannel(ops, 2, 2.0)
