@@ -68,10 +68,10 @@ def cmd_xi_table(args: argparse.Namespace) -> list[dict]:
     if not 2 <= args.m_min <= args.m_max:
         raise ValueError(f"need 2 <= M_min <= M_max, got [{args.m_min}, {args.m_max}]")
     grid = range(args.m_min, args.m_max + 1)
-    xis, fes = pbt._series(pbt._check_ports(grid))
+    xis, fes = pbt._series(grid)
+    deltas = pbt._simulation_errors(grid, 2)[0]
     rows = []
-    for M, x, fe in zip(grid, xis.tolist(), fes.tolist()):
-        delta = 1.5 * x  # pbt.delta_exact_qubit
+    for M, x, fe, delta in zip(grid, xis.tolist(), fes.tolist(), deltas.tolist()):
         rows.append({
             "M": M, "xi": x, "f_e": fe, "delta": delta, "delta_upper": pbt.delta_upper(M, 2),
             "M_xi": M * x, "identity_ok": abs(fe + delta / 2 - 1) < 1e-10,
@@ -82,10 +82,9 @@ def cmd_xi_table(args: argparse.Namespace) -> list[dict]:
 def cmd_oracle_verify(args: argparse.Namespace) -> list[dict]:
     if not 2 <= args.m_max <= pbt_oracle.M_MAX:
         raise ValueError(f"M_max {args.m_max} outside [2, {pbt_oracle.M_MAX}]")
+    grid = range(2, args.m_max + 1)
     rows = []
-    # per M through the memo: pbt_choi_qubit(M) then reuses the closed-form xi
-    for M in range(2, args.m_max + 1):
-        closed = pbt.xi(M)
+    for M, closed in zip(grid, pbt._series(grid)[0].tolist()):
         J = pbt_oracle.oracle_channel_choi(M).matrix
         oracle = pbt_oracle._isotropic_fit(J)
         rows.append({

@@ -14,7 +14,7 @@ from math import exp, inf, log, sqrt
 import numpy as np
 
 from .linalg import Array, _check_int, _check_interval
-from .pbt import _ad_factor, _check_ports, _series, _simulation_errors
+from .pbt import _ad_factor, _series, _simulation_errors
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def ad_discrimination_sweep(
         raise ValueError("parameter grids must be nonempty")
     _check_interval(dp, "damping separation", 0, inf)
     opt_grid = sorted(set(default_m_grid(n, 2)) | set(M_grid))
-    xis = _series(_check_ports(opt_grid))[0]  # checks every port count once
+    xis = _series(opt_grid)[0]  # checks every port count once
     log_f, factors = [], []
     for p in p_grid:
         p0, p1 = p, p + dp

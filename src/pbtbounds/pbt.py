@@ -6,19 +6,18 @@ diamond-norm simulation errors delta_M and Delta_M(p), and the Choi matrices
 of the simulated channels, which are linear in each channel's own Choi matrix
 because the M-port qubit channel is depolarizing.
 
-xi_M and f_e(M) come from one kernel that sums both series over one shared
-binomial window per M. The scalar xi and entanglement_fidelity_qubit check M
-and memoise the pair per M. Callers that need a whole grid of port counts (the
-bound optimiser, the damping sweep, the CLI tables) pass it to the kernel in
-one call: every port count is checked, nothing is memoised, and each member
-equals the scalar value bit for bit, whatever the grid's order, repeats or
-mix of sizes.
+xi_M and f_e(M) come from one kernel, _series, that checks every port count,
+sums both series over one shared binomial window per M and keeps the pair per
+M in one module store of at most _STORE_SIZE = 4096 port counts (under
+1 MB). The scalar xi and entanglement_fidelity_qubit are one-member reads of
+it; the bound optimiser, the damping sweep and the CLI tables pass their whole
+grid in one call. A value is the same bits whether it was computed alone or in
+any grid, stored or recomputed after the store was emptied.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 from math import ceil, inf, sqrt
 
 import numpy as np
@@ -31,6 +30,10 @@ from .linalg import (TOL_NUM, Array, DensityMatrix, _check_int, _check_interval,
 # A weight below e^-708 of the centre's (about the smallest normal double) is
 # dropped: its share of any of the sums is under 1e-300, far below their last bit.
 _LOG_TINY = 708
+
+# Most (xi_M, f_e(M)) pairs the store of _series holds, keyed by M.
+_STORE_SIZE = 4096
+_store: dict[int, tuple[float, float]] = {}
 
 
 def _window(M: int) -> int:
@@ -46,8 +49,13 @@ def _window(M: int) -> int:
     return min(c + 1, ceil(a + sqrt(a * a + _LOG_TINY * (c + 1))))
 
 
-def _series(Ms: Sequence[int]) -> tuple[Array, Array]:
-    """xi_M and f_e(M) for each of the validated int port counts Ms.
+def _series(Ms: Sequence[int]) -> Array:
+    """xi_M and f_e(M) for each port count of Ms, as the rows of a fresh (2, len(Ms)) array.
+
+    Every port count is checked, in order. Those in the store are read from
+    it; the missing ones, each once, are computed in one pass and stored. A
+    pass that would take the store past _STORE_SIZE empties it first, and of
+    more than _STORE_SIZE new port counts only the first _STORE_SIZE are kept.
 
     Both sums run over one binomial window per M, the half k <= M/2 in the
     variable t = M - 2k (= 2s + 1 for xi's spins), since f_e's summand is
@@ -59,18 +67,21 @@ def _series(Ms: Sequence[int]) -> tuple[Array, Array]:
     and a -inf log-ratio after the window makes every padded weight an exact
     0, so every M gets the same bits in any batch as on its own.
     """
-    xi, fe = np.empty(len(Ms)), np.empty(len(Ms))
+    for M in Ms:
+        _check_int(M, "port count", 2)
+    pairs = {M: _store.get(M) for M in Ms}
+    new = [M for M, pair in pairs.items() if pair is None]
     groups: dict[int, list[tuple[int, int]]] = {}
-    for i, m in enumerate(Ms):
+    for m in new:
         n = _window(m)
-        groups.setdefault((n // 64 + 1) * 64, []).append((i, n))
+        groups.setdefault((n // 64 + 1) * 64, []).append((m, n))
     for width, group in groups.items():
-        rows, ends = zip(*group)
-        ports = np.array([Ms[i] for i in rows])
-        if len(rows) == 1:  # a scalar broadcasts faster than a (1, 1) column, to the same bits
+        ports, ends = zip(*group)
+        ports = np.array(ports)
+        if len(group) == 1:  # a scalar broadcasts faster than a (1, 1) column, to the same bits
             M, ends = float(ports[0]), ends[0]
         else:
-            M, ends = ports[:, None].astype(float), (np.arange(len(rows)), ends)
+            M, ends = ports[:, None].astype(float), (np.arange(len(group)), ends)
         t = np.minimum(M % 2 + np.arange(0.0, 2 * width, 2.0), M)  # k = M//2 - j, clipped at k = 0
         tm, tp, am, ap = t - 1, t + 1, (M + 2) - t, (M + 2) + t  # am = 2(k + 1), ap = 2(M - k + 1)
         # log C(M, k) / C(M, k + 1) = log1p((1 - t) / ((M + t) / 2)), summed outward from t = M % 2
@@ -91,23 +102,12 @@ def _series(Ms: Sequence[int]) -> tuple[Array, Array]:
         # the upper half mirrors the lower one, and an even M's centre t = 0 counts once
         norm = 2 * w_sum - (1 - ports % 2)
         # 16 w = C(M, k) / 2^(M-4) in xi; f_e doubles its half and takes 2 w / 8
-        rows = list(rows)
-        xi[rows] = np.ldexp((ports + 2) / 3, 1 - ports) + 16 * (x_sum / norm) / 12
-        fe[rows] = f_sum / norm / 2
-    return xi, fe
-
-
-def _check_ports(Ms: Sequence[int]) -> list[int]:
-    """Checks every port count of a grid; the grid forms below are not memoised."""
-    for M in Ms:
-        _check_int(M, "port count", 2)
-    return [int(M) for M in Ms]
-
-
-@lru_cache
-def _series_at(M: int) -> tuple[float, float]:
-    xi, fe = _series((M,))
-    return float(xi[0]), float(fe[0])
+        xi = np.ldexp((ports + 2) / 3, 1 - ports) + 16 * (x_sum / norm) / 12
+        pairs.update(zip(ports.tolist(), zip(xi.tolist(), (f_sum / norm / 2).tolist())))
+    if len(_store) + len(new) > _STORE_SIZE:
+        _store.clear()
+    _store.update((M, pairs[M]) for M in new[:_STORE_SIZE])
+    return np.array([pairs[M] for M in Ms]).reshape(-1, 2).T
 
 
 def xi(M: int) -> float:
@@ -120,12 +120,10 @@ def xi(M: int) -> float:
 
     Only the binomial window around M/2 is summed, so the cost is O(sqrt M).
     Relative error is at most 1e-14 against a 40-digit mpmath sum for
-    2 <= M <= 1e6. The pair (xi_M, f_e(M)) is memoised per M; a grid of port
-    counts goes through the kernel in one call, unmemoised, and each of its
-    members equals xi(M) bit for bit.
+    2 <= M <= 1e6. A one-member read of the checked store of _series: a
+    member of any grid equals xi(M) bit for bit.
     """
-    _check_int(M, "port count", 2)
-    return _series_at(int(M))[0]
+    return float(_series((M,))[0][0])
 
 
 def entanglement_fidelity_qubit(M: int) -> float:
@@ -133,12 +131,11 @@ def entanglement_fidelity_qubit(M: int) -> float:
 
     f_e = 2^{-M-3} sum_k C(M, k) ((M-2k-1)/sqrt(k+1) + (M-2k+1)/sqrt(M-k+1))^2,
     summed over the binomial window around M/2 in O(sqrt M), from the same
-    window and the same memo entry as xi(M). Relative error is at most 1e-14
+    window and the same store entry as xi(M). Relative error is at most 1e-14
     against a 40-digit mpmath sum for 2 <= M <= 1e6; a grid member equals
     the scalar call bit for bit, as for xi.
     """
-    _check_int(M, "port count", 2)
-    return _series_at(int(M))[1]
+    return float(_series((M,))[1][0])
 
 
 def delta_exact_qubit(M: int) -> float:
@@ -169,12 +166,14 @@ def simulation_error(M: int, d: int) -> tuple[float, str]:
 def _simulation_errors(Ms: Sequence[int], d: int) -> tuple[Array, str]:
     """simulation_error over a grid of port counts: one array of delta_M, one provenance.
 
-    Each entry equals simulation_error(M, d)[0] bit for bit.
+    Each entry equals simulation_error(M, d)[0] bit for bit. For d > 2 the
+    port counts are only checked: xi_M is neither computed nor stored.
     """
-    Ms = _check_ports(Ms)
     _check_int(d, "dimension", 2)
     if d == 2:
         return 1.5 * _series(Ms)[0], "closed_form"
+    for M in Ms:
+        _check_int(M, "port count", 2)
     return np.minimum(2.0 * d * (d - 1) / np.array(Ms, dtype=float), 2.0), "upper_bound"
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import depolarizing, isometry_channel
 from pbtbounds import pbt
 from pbtbounds.channels import amplitude_damping, choi
+from pbtbounds.discrimination import bound_B_optimized
 from pbtbounds.pbt import (
     delta_ad,
     delta_exact_qubit,
@@ -81,7 +82,7 @@ class TestXi:
             xi(2.5)
 
     def test_rejects_invalid_ports_after_valid_calls(self):
-        # the memo must neither cache a failed check nor let an equal float hit the cache
+        # the store must neither keep a failed check nor let an equal float hit it
         xi(2)
         xi(3)
         for bad in (1, 2.5, 2.0):
@@ -98,7 +99,7 @@ class TestXi:
     def test_values_survive_cache_clear(self):
         Ms = (2, 7, 64, 4096, 4097, 100_000)
         before = [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms]
-        pbt._series_at.cache_clear()
+        pbt._store.clear()
         assert [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms] == before
 
     def test_strictly_decreasing_across_binomial_switch(self):
@@ -340,19 +341,75 @@ _PORTS = st.one_of(
 )
 
 
+def _lone(M):
+    """(xi_M, f_e(M)) computed on its own, from an empty store."""
+    pbt._store.clear()
+    return xi(M), entanglement_fidelity_qubit(M)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_PORTS, min_size=1, max_size=30))
 def test_grid_members_equal_scalar_calls(grid):
-    # unsorted, possibly repeated, mixed-width grids: each member is the
-    # memoised scalar value bit for bit
+    # unsorted, possibly repeated, mixed-width grids, computed together: each
+    # member is the value of a lone computation bit for bit
+    pbt._store.clear()
     xis, fes = pbt._series(grid)
-    assert xis.tolist() == [xi(M) for M in grid]
-    assert fes.tolist() == [entanglement_fidelity_qubit(M) for M in grid]
+    assert list(zip(xis.tolist(), fes.tolist())) == [_lone(M) for M in grid]
 
 
 def test_grid_checks_every_port_count():
     for bad in (1, 2.5, 4.0, True):
         with pytest.raises(ValueError, match="port count"):
-            pbt._check_ports([3, 64, bad])
+            pbt._series([3, 64, bad])
+        with pytest.raises(ValueError, match="port count"):
+            pbt._simulation_errors([3, 64, bad], 3)
         with pytest.raises(ValueError, match="port count"):
             simulation_error(bad, 2)
+
+
+def _no_kernel_pass(monkeypatch):
+    monkeypatch.setattr(pbt, "_window", lambda M: pytest.fail(f"kernel pass for M = {M}"))
+
+
+def test_grid_call_fills_the_store(monkeypatch):
+    pbt._store.clear()
+    grid = [5, 64, 2900, 100_000, 64]
+    xis, fes = pbt._series(grid)
+    xis[0] = fes[0] = 0.0  # the arrays are the caller's, not the store's
+    _no_kernel_pass(monkeypatch)
+    assert [(xi(M), entanglement_fidelity_qubit(M)) for M in grid[1:]] == list(zip(xis[1:], fes[1:]))
+    assert xi(5) > 0.0 and pbt.pbt_choi_qubit(5).matrix[1, 1] == xi(5) / 4
+
+
+def test_upper_bound_grid_leaves_the_store_unchanged(monkeypatch):
+    xi(7)
+    before = dict(pbt._store)
+    _no_kernel_pass(monkeypatch)
+    report = bound_B_optimized(2000, 3, 1.0 - 1e-10)
+    assert report.params["delta_provenance"] == "upper_bound"
+    assert pbt._store == before
+
+
+def test_store_never_passes_its_bound(monkeypatch):
+    monkeypatch.setattr(pbt, "_STORE_SIZE", 5)
+    pbt._store.clear()
+    calls = [[2], [3, 4, 3], [5, 6], [2, 7], range(10, 22), [100_000]]
+    got = []
+    for Ms in calls:
+        got.append(pbt._series(Ms).tolist())
+        assert len(pbt._store) <= 5
+        if Ms == range(10, 22):  # more new port counts than the bound: the first five stay
+            assert sorted(pbt._store) == [10, 11, 12, 13, 14]
+    for Ms, (xis, fes) in zip(calls, got):
+        assert list(zip(xis, fes)) == [_lone(M) for M in Ms]
+
+
+def test_values_identical_after_the_store_empties(monkeypatch):
+    monkeypatch.setattr(pbt, "_STORE_SIZE", 8)
+    Ms = [2, 63, 64, 2834, 4097, 100_000]
+    pbt._store.clear()
+    before = pbt._series(Ms).tolist()
+    pbt._series(range(200, 204))  # 6 + 4 > 8: the store empties before these are kept
+    assert sorted(pbt._store) == [200, 201, 202, 203]
+    assert pbt._series(Ms).tolist() == before
+    assert [xi(M) for M in Ms] == before[0]
