@@ -69,7 +69,7 @@ def cmd_xi_table(args: argparse.Namespace) -> list[dict]:
         raise ValueError(f"need 2 <= M_min <= M_max, got [{args.m_min}, {args.m_max}]")
     grid = range(args.m_min, args.m_max + 1)
     xis, fes = pbt._series(grid)
-    deltas = pbt._simulation_errors(grid, 2)[0]
+    deltas = pbt._DELTA_PER_XI * xis  # as pbt._simulation_errors(grid, 2), from the xi in hand
     rows = []
     for M, x, fe, delta in zip(grid, xis.tolist(), fes.tolist(), deltas.tolist()):
         rows.append({

@@ -34,6 +34,7 @@ _LOG_TINY = 708
 # Most (xi_M, f_e(M)) pairs the store of _series holds, keyed by M.
 _STORE_SIZE = 4096
 _store: dict[int, tuple[float, float]] = {}
+_DELTA_PER_XI = 1.5  # delta_M / xi_M at d = 2: the qubit simulation error is (3/2) xi_M
 
 
 def _window(M: int) -> int:
@@ -52,8 +53,8 @@ def _window(M: int) -> int:
 def _series(Ms: Sequence[int]) -> Array:
     """xi_M and f_e(M) for each port count of Ms, as the rows of a fresh (2, len(Ms)) array.
 
-    Every port count is checked, in order. Those in the store are read from
-    it; the missing ones, each once, are computed in one pass and stored. A
+    Every port count is checked, in order, and kept as a Python int. Those in
+    the store are read; the missing ones, each once, are computed and stored. A
     pass that would take the store past _STORE_SIZE empties it first, and of
     more than _STORE_SIZE new port counts only the first _STORE_SIZE are kept.
 
@@ -69,7 +70,7 @@ def _series(Ms: Sequence[int]) -> Array:
     """
     for M in Ms:
         _check_int(M, "port count", 2)
-    pairs = {M: _store.get(M) for M in Ms}
+    pairs = {int(M): _store.get(M) for M in Ms}  # int keys: 1 - M must not wrap unsigned
     new = [M for M, pair in pairs.items() if pair is None]
     groups: dict[int, list[tuple[int, int]]] = {}
     for m in new:
@@ -140,7 +141,7 @@ def entanglement_fidelity_qubit(M: int) -> float:
 
 def delta_exact_qubit(M: int) -> float:
     """Diamond-norm distance between the identity and the M-port channel (d=2)."""
-    return 1.5 * xi(M)
+    return _DELTA_PER_XI * xi(M)
 
 
 def delta_upper(M: int, d: int) -> float:
@@ -171,7 +172,7 @@ def _simulation_errors(Ms: Sequence[int], d: int) -> tuple[Array, str]:
     """
     _check_int(d, "dimension", 2)
     if d == 2:
-        return 1.5 * _series(Ms)[0], "closed_form"
+        return _DELTA_PER_XI * _series(Ms)[0], "closed_form"
     for M in Ms:
         _check_int(M, "port count", 2)
     return np.minimum(2.0 * d * (d - 1) / np.array(Ms, dtype=float), 2.0), "upper_bound"

@@ -74,6 +74,18 @@ class TestCsvOutput:
             assert float(cells[1]) == pytest.approx(pbt.xi(6), rel=rel)
             assert float(cells[3]) == pytest.approx(pbt.delta_exact_qubit(6), rel=rel)
 
+    def test_xi_table_past_the_store_runs_each_port_count_once(self, capsys, monkeypatch):
+        # a grid larger than the xi store: the delta column comes from the xi column in hand
+        monkeypatch.setattr(pbt, "_STORE_SIZE", 8)
+        pbt._store.clear()
+        window, rows = pbt._window, []
+        monkeypatch.setattr(pbt, "_window", lambda M: rows.append(M) or window(M))
+        code, out = _run(["--precision", "17", "xi-table", "--m-max", "40"], capsys)
+        assert code == 0 and sorted(rows) == list(range(2, 41))
+        for line in out.strip().split("\n")[1:]:
+            M, _, _, delta = line.split(",")[:4]
+            assert float(delta) == pbt.delta_exact_qubit(int(M))
+
 
 class TestJsonOutput:
     def test_schema_and_shape(self, capsys):

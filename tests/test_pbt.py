@@ -367,6 +367,18 @@ def test_grid_checks_every_port_count():
             simulation_error(bad, 2)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64, np.int64])
+def test_numpy_port_counts_read_and_fill_the_int_entry(dtype):
+    ref = _lone(100)
+    pbt._store.clear()
+    assert xi(dtype(100)) == ref[0]
+    assert pbt._store == {100: ref} and all(type(M) is int for M in pbt._store)
+    assert xi(100) == ref[0] and entanglement_fidelity_qubit(dtype(100)) == ref[1]
+    pbt._store.clear()
+    xis, fes = pbt._series(np.array([100, 7, 100], dtype=dtype))
+    assert list(zip(xis.tolist(), fes.tolist())) == [ref, _lone(7), ref]
+
+
 def _no_kernel_pass(monkeypatch):
     monkeypatch.setattr(pbt, "_window", lambda M: pytest.fail(f"kernel pass for M = {M}"))
 
