@@ -31,14 +31,9 @@ class BoundReport:
     valid: bool = True
 
 
-def _clamp(raw):
-    """raw clamped to [0, 0.5], entrywise for an array."""
-    return np.clip(raw, 0.0, 0.5) if isinstance(raw, np.ndarray) else min(max(raw, 0.0), 0.5)
-
-
 def _report(name: str, raw: float, params: dict) -> BoundReport:
     params = dict(params, raw=raw)
-    return BoundReport(name, _clamp(raw), params, valid=raw > 0.0)
+    return BoundReport(name, min(max(raw, 0.0), 0.5), params, valid=raw > 0.0)
 
 
 def _log_f(F: float) -> float:
@@ -165,7 +160,8 @@ def ad_discrimination_sweep(
     log_f = np.array(log_f)
     f0, f1 = np.array(factors).T[:, :, None]
     delta_bar = (xis * f0 + xis * f1) / 2.0
-    values = _clamp(_port_bounds(n, log_f[:, None], np.array(opt_grid, dtype=float), delta_bar))
+    raw = _port_bounds(n, log_f[:, None], np.array(opt_grid, dtype=float), delta_bar)
+    values = np.clip(raw, 0.0, 0.5)
     best = values.argmax(axis=1).tolist()  # the first maximal M, smallest on a tie
     block_lower = ((1.0 - _fuchs(log_f, 2.0 * n)) / 2.0).tolist()
     block_upper = (_pow(log_f, float(n)) / 2.0).tolist()

@@ -6,8 +6,10 @@ can serve as an independent check of that formula. The U x conj(U)-invariant
 resource conserves the charge w(A) - w(C), so the build runs per charge sector,
 in real arithmetic, and the ensemble keeps only the POVM's sector blocks: the
 port states and their sum live only inside the per-sector solve. The Choi
-matrix is read off those blocks; the tests keep the dense full-space build and
-the explicit full-state route as references.
+matrix is read off those blocks. The build checks only that each block
+resolves the identity, the one property the numerics decide; the tests pin
+the layout and positivity, fixed by M, and keep the dense full-space build
+and the explicit full-state route as references.
 
 Qubit ordering: measured registers [C, A_1..A_M] (dimension 2^{M+1}); D is the
 reference purifying C and B_i the receiver half of port i.
@@ -27,8 +29,6 @@ from .pbt import _depolarizing_choi_matrix  # a function of x only; xi_M is neve
 M_MAX = 8
 # Residual allowed between the computed Choi matrix and its isotropic fit.
 TOL_ISO = 1e-9
-# Sectors up to this dimension have their POVM sum checked together.
-_ONE_PASS = 16
 
 
 @dataclass(frozen=True)
@@ -39,30 +39,13 @@ class PbtEnsemble:
     w(A) - w(C) = k - 1; every POVM element vanishes off these sectors, so
     only its blocks are kept, in that order. povm[k] is an (M, n_k, n_k) stack
     whose entry i-1 is the block of Pi^i, completed by the equal split of the
-    kernel projector (see build_ensemble). The layout and the identity sum are
-    checked here; positivity, fixed by M, in the tests.
+    kernel projector (see build_ensemble). A plain record: build_ensemble checks
+    the identity sum block by block; the layout and positivity, fixed by M, are pinned by tests.
     """
 
     M: int
     sectors: tuple[Array, ...]
     povm: tuple[Array, ...]
-
-    def __post_init__(self):
-        _check_int(self.M, "port count", 2, M_MAX)
-        if not np.array_equal(np.sort(np.concatenate(self.sectors)), np.arange(2 ** (self.M + 1))):
-            raise ValueError("sectors do not partition the basis")
-        if [P.shape for P in self.povm] != [(self.M, s.size, s.size) for s in self.sectors]:
-            raise ValueError("block shapes do not match the sector sizes")
-        # the small blocks summed over the ports in one pass; a large block is
-        # checked on its own, which costs less than copying it
-        small = [P for P in self.povm if P.shape[-1] <= _ONE_PASS]
-        sums = np.concatenate([P.reshape(self.M, -1) for P in small], axis=1).sum(axis=0)
-        eye = np.concatenate([np.eye(P.shape[-1]).ravel() for P in small])
-        deviation = [np.abs(sums - eye).max()] + [
-            np.abs(P.sum(axis=0) - np.eye(P.shape[-1])).max() for P in self.povm if P.shape[-1] > _ONE_PASS
-        ]
-        if not max(deviation) <= 1e-10:
-            raise ValueError("POVM does not resolve the identity")
 
 
 def _sector_pairs(sector: Array, M: int) -> tuple[Array, Array]:
@@ -107,6 +90,8 @@ def build_ensemble(M: int) -> PbtEnsemble:
         S = (support / np.sqrt(evals[live])) @ support.T
         SV = S[:, pairs].sum(axis=1).transpose(1, 0, 2)
         povm.append(SV @ SV.transpose(0, 2, 1) / 2**M + kernel @ kernel.T / M)
+        if not np.abs(povm[-1].sum(axis=0) - np.eye(sector.size)).max() <= 1e-10:  # NaN fails too
+            raise ValueError("POVM does not resolve the identity")
     return PbtEnsemble(M, sectors, tuple(povm))
 
 

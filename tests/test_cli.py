@@ -199,6 +199,18 @@ class TestExitCodes:
         assert main(["oracle-verify", "--m-max", "3"]) == 0
         capsys.readouterr()
 
+    def test_oracle_mismatch_exits_two(self, monkeypatch, capsys):
+        # the closed-form xi column shifted past the 1e-9 agreement bound
+        series = pbt._series
+        monkeypatch.setattr(pbt, "_series", lambda grid: series(grid) + [[1e-6], [0.0]])
+        assert main(["oracle-verify", "--m-max", "3"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert lines[0] == HEADERS["oracle-verify"]
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]
+        assert all(float(line.split(",")[3]) > 1e-9 for line in lines[1:])
+        assert captured.err.splitlines() == ["error: oracle disagrees with the closed form"]
+
 
 class TestProcessExitCodes:
     """The console entry point hands main's exit code to the shell."""

@@ -129,7 +129,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("M", range(2, M_MAX + 1))
     def test_measurement_data_positive_semidefinite(self, M):
-        # construction checks only the sum; the ensemble is a fixed function
+        # the build checks only the sum; the ensemble is a fixed function
         # of M, so positivity is pinned here once for every supported M, block
         # by block (every POVM element vanishes off its sector blocks)
         for stack in build_ensemble(M).povm:
@@ -167,31 +167,36 @@ class TestEnsemble:
             evals = np.linalg.eigvalsh(rho[np.ix_(sector, sector)])
             assert int(np.sum(evals < 1e-10)) == 1
 
-    def test_invariants_enforced_on_construction(self):
-        ens = build_ensemble(2)
-        broken = (*ens.povm[:2], ens.povm[2] * 0.9, *ens.povm[3:])
-        with pytest.raises(ValueError, match="identity"):
-            PbtEnsemble(2, ens.sectors, broken)
+    @pytest.mark.parametrize("M", range(2, M_MAX + 1))
+    def test_layout_fixed_by_port_count(self, M):
+        # the build checks only the identity sum; the layout it returns is a
+        # function of M, pinned here once for every supported M
+        ens = build_ensemble(M)
+        assert ens.M == M
+        assert np.array_equal(np.sort(np.concatenate(ens.sectors)), np.arange(2 ** (M + 1)))
+        charge = _charge(M)
+        for k, sector in enumerate(ens.sectors):
+            assert np.all(np.diff(sector) > 0)
+            assert np.all(charge[sector] == k - 1)
+        assert [P.shape for P in ens.povm] == [(M, s.size, s.size) for s in ens.sectors]
 
-    def test_malformed_layout_rejected(self):
-        ens = build_ensemble(3)
-        s = ens.sectors
-        missing = (s[0], s[1][:-1], *s[2:])
-        duplicated = (s[0], np.append(s[1], s[2][0]), *s[2:])
-        for sectors in (missing, duplicated):
-            with pytest.raises(ValueError, match="partition"):
-                PbtEnsemble(3, sectors, ens.povm)
-        # a partition whose sector sizes no longer match the blocks
-        moved = (s[0], s[1][:-1], np.append(s[2], s[1][-1]), *s[3:])
-        with pytest.raises(ValueError, match="block shapes"):
-            PbtEnsemble(3, moved, ens.povm)
-        # one block cut short, the layout left as it is
-        cut = (*ens.povm[:2], ens.povm[2][:, :-1, :-1], *ens.povm[3:])
-        with pytest.raises(ValueError, match="block shapes"):
-            PbtEnsemble(3, s, cut)
-        # one sector's block missing
-        with pytest.raises(ValueError, match="block shapes"):
-            PbtEnsemble(3, s, ens.povm[:-1])
+    @pytest.mark.parametrize("fault", ["scaled", "nan"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_build_checks_identity_on_every_block(self, monkeypatch, fault, k):
+        # a fault in the eigensolve of sector k alone (its eigenvalues scaled,
+        # or NaN eigenvectors) must stop the build
+        eigh, solved = np.linalg.eigh, []
+
+        def faulty(a):
+            evals, vecs = eigh(a)
+            solved.append(a.shape)
+            if len(solved) == k + 1:
+                return (0.9 * evals, vecs) if fault == "scaled" else (evals, np.full_like(vecs, np.nan))
+            return evals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        with pytest.raises(ValueError, match="identity"):
+            build_ensemble(3)
 
 
 class TestChoiExtraction:
@@ -220,6 +225,18 @@ class TestChoiExtraction:
         # trace of the transposed POVM: independent code paths
         explicit = sum(_port_outputs(build_ensemble(M)))
         assert np.abs(explicit - oracle_channel_choi(M).matrix).max() < 1e-12
+
+    def test_anisotropic_choi_rejected(self, monkeypatch):
+        # the diagonal of the C = 1 states raised in one sector: the read-off
+        # Choi matrix leaves the isotropic form
+        ens = build_ensemble(3)
+        raised = ens.povm[2].copy()
+        c1 = np.flatnonzero(ens.sectors[2] >> 3)
+        raised[:, c1, c1] += 1e-3
+        broken = PbtEnsemble(3, ens.sectors, (*ens.povm[:2], raised, *ens.povm[3:]))
+        monkeypatch.setattr(pbt_oracle, "build_ensemble", lambda M: broken)
+        with pytest.raises(RuntimeError, match="not isotropic"):
+            oracle_channel_choi(3)
 
     def test_largest_supported_port_count(self):
         assert oracle_xi(M_MAX) == pytest.approx(xi(M_MAX), abs=1e-10)

@@ -1,12 +1,13 @@
 """States are validated once, where their inputs enter.
 
-The public constructors (DensityMatrix, ChoiMatrix, KrausChannel, PbtEnsemble)
-check every input. The five producers below build their states from inputs
+The public constructors (DensityMatrix, ChoiMatrix, KrausChannel) check every
+input. The five producers below build their states from inputs
 those constructors, or the producers' own scalar checks, have already
 accepted, and store them with linalg._trusted without re-checking. Here every
 producer's output is put back through the public constructors over the
 producer's input range: they must accept it and store the same bytes, dtype
-and dims. The oracle keeps its validation, since it is the independent reference.
+and dims. The oracle's Choi matrix still goes through the public constructors,
+since it is the independent reference.
 """
 
 import numpy as np
