@@ -3,7 +3,6 @@ teleportation simulation, with application bounds for optical resolution,
 quantum illumination, metrology, and secret-key rates."""
 
 from .applications import (
-    KeyRateBound,
     KeyRateParams,
     MetrologyBound,
     QfiEstimate,

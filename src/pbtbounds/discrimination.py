@@ -19,10 +19,11 @@ from .pbt import _ad_factor, _series, _simulation_errors
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One bound evaluation: clamped value plus the inputs that produced it.
+    """One bound evaluation: its value plus the inputs that produced it.
 
-    value is clamped to [0, 0.5]; the raw pre-clamp number stays in params
-    ('raw'). valid means the bound is informative (raw > 0).
+    The error-probability bounds, built by _report, clamp value to [0, 0.5],
+    keep the raw pre-clamp number in params ('raw') and are valid when raw > 0.
+    A key-rate value is in bits per use, inf and invalid where undefined.
     """
 
     name: str

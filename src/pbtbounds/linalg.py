@@ -65,6 +65,8 @@ class DensityMatrix:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
+        for d in self.dims:
+            _check_int(d, "subsystem dimension", 1)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")

@@ -27,6 +27,7 @@ from pbtbounds.applications import (
     resolution_fidelity,
 )
 from pbtbounds.channels import amplitude_damping, choi
+from pbtbounds.discrimination import BoundReport
 from pbtbounds.linalg import fidelity
 
 
@@ -425,6 +426,19 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(1.1)
 
+    def test_matches_mpmath_relative_3e16(self):
+        # 1 - x rounds to 1 below x ~ 1e-16, so the reference takes log1p
+        # at 60 digits; the grid reaches x = 1e-300 and the doubles next to 1
+        xs = list(np.linspace(1e-3, 1.0 - 1e-3, 199))
+        xs += [10.0 ** k for k in np.linspace(-300.0, -1.0, 300)] + [3.4e-17]
+        xs += [1.0 - 10.0 ** -k for k in range(1, 17)] + [np.nextafter(1.0, 0.0)]
+        with mp.workdps(60):
+            for x in xs:
+                x = float(x)
+                t = mp.mpf(x)
+                want = (-t * mp.log(t) - (1 - t) * mp.log1p(-t)) / mp.log(2)
+                assert abs(binary_entropy(x) - want) <= 3e-16 * want, x
+
 
 class TestFiniteKeyRate:
     def test_perfect_simulation_collapses_to_entanglement_term(self):
@@ -445,6 +459,24 @@ class TestFiniteKeyRate:
         assert not key_rate_bound_finite(params_se, 10, 0.3).valid
         params_ree = KeyRateParams(2, 1e-3, measure="REE", n=1)
         assert key_rate_bound_finite(params_ree, 10, 0.3).valid
+
+    @pytest.mark.parametrize(
+        "measure, n, epsilon, M, delta, value, valid, gamma",
+        [
+            ("REE", 10, 0.01, 8, 0.005, 0.6254889838308954, True, 0.060000000000000005),
+            ("REE", 100, 0.0, 10, 0.02, inf, False, 2.0),
+            ("SE", 10, 1e-4, 443, 0.00443, 11.369240797880053, True, 0.0444),
+            ("SE", 1, 0.0, 10, 0.3, inf, False, 0.3),
+            ("SE", 10, 1e-4, 35, 0.05, inf, False, 0.5001),
+        ],
+    )
+    def test_returns_bound_report(self, measure, n, epsilon, M, delta, value, valid, gamma):
+        params = KeyRateParams(2, 0.01, measure=measure, n=n, epsilon=epsilon, c=2.0)
+        bound = key_rate_bound_finite(params, M, delta)
+        assert type(bound) is BoundReport
+        assert bound.name == "key_rate_bound_finite"
+        assert (bound.value, bound.valid) == (value, valid)
+        assert bound.params == {"M": M, "delta": delta, "gamma": gamma, "measure": measure}
 
     def test_finite_value_formula(self):
         params = KeyRateParams(2, 0.01, measure="REE", n=10, epsilon=0.01, c=2.0)

@@ -271,6 +271,7 @@ class TestGoldenTables:
             (["ad-sweep"], "ad_sweep_default.csv"),
             (["keyrate"], "keyrate_default.csv"),
             (["keyrate", "--d", "3"], "keyrate_d3.csv"),
+            (["keyrate", "--measure", "SE", "--n", "10", "--epsilon", "1e-4"], "keyrate_se.csv"),
             (["resolution"], "resolution_default.csv"),
             (["illumination"], "illumination_default.csv"),
             (["illumination", "--d", "8", "--b", "0.0015", "--eta-min", "1e-4", "--eta-max", "0.0085"],

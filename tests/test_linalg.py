@@ -64,6 +64,12 @@ class TestDensityMatrix:
         assert rho.dims == (2, 3)
         assert all(type(d) is int for d in rho.dims)
 
+    @pytest.mark.parametrize("dims", [(2.7, 2), (2, 2.0), (-2, -2), (4, 1, 0), (True, 4)])
+    def test_rejects_non_integer_or_non_positive_dims(self, dims):
+        bad = next(d for d in dims if isinstance(d, (float, bool)) or d < 1)
+        with pytest.raises(ValueError, match=rf"^subsystem dimension {bad} must be an integer >= 1$"):
+            DensityMatrix(np.eye(4) / 4, dims)
+
 
 class TestMetrics:
     def test_fidelity_pure_states(self):

@@ -15,7 +15,7 @@ import pytest
 import pbtbounds as P
 
 # results the library builds, not inputs it checks
-_RESULT_RECORDS = {"BoundReport", "KeyRateBound", "MetrologyBound", "QfiEstimate"}
+_RESULT_RECORDS = {"BoundReport", "MetrologyBound", "QfiEstimate"}
 
 
 def _ad_family(p):
