@@ -28,7 +28,6 @@ from .discrimination import (
     ad_fidelity,
     bound_B_near_identity,
     bound_B_optimized,
-    d_upper_fuchs,
     default_m_grid,
 )
 from .linalg import DensityMatrix, fidelity, psd_sqrt

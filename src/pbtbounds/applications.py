@@ -122,7 +122,9 @@ def illumination_fidelity_exact(d: int, eta: float, b: float, method: str = "str
     """Fidelity of the target-absent/present pair.
 
     'structured' takes the O(1) closed form at every d, within 3e-16
-    absolute of 50-digit mpmath for d <= 3000, eta in [0, 1], b in [0, 0.05].
+    absolute of 50-digit mpmath for d <= 3000, eta in [0, 1], b in [0, 0.05],
+    and within 8e-16 for b up to (1 - 1e-6)/d at every d checked (1..6, 8,
+    12, 16, 30 and 64; 7.8e-16 at worst, at d = 5).
     'generic' diagonalizes the (d+1)^2-dim pair; psd_sqrt zeroes sigma's
     eigenvalues b/(d+1) below TOL_PSD, which puts it up to 8e-6 off at b = 1e-9.
     """

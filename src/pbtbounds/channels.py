@@ -72,10 +72,6 @@ class ChoiMatrix:
         return self.state.dims[0]
 
     @property
-    def d_out(self) -> int:
-        return self.state.dims[1]
-
-    @property
     def matrix(self) -> Array:
         return self.state.matrix
 

@@ -65,8 +65,10 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_xi_table(args: argparse.Namespace) -> list[dict]:
-    if not 2 <= args.m_min <= args.m_max:
-        raise ValueError(f"need 2 <= M_min <= M_max, got [{args.m_min}, {args.m_max}]")
+    if not 2 <= args.m_min <= args.m_max <= pbt._MAX_PORTS:  # before the range is built
+        raise ValueError(
+            f"need 2 <= M_min <= M_max <= {pbt._MAX_PORTS}, got [{args.m_min}, {args.m_max}]"
+        )
     grid = range(args.m_min, args.m_max + 1)
     xis, fes = pbt._series(grid)
     deltas = pbt._DELTA_PER_XI * xis  # as pbt._simulation_errors(grid, 2), from the xi in hand

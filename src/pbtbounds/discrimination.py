@@ -58,18 +58,13 @@ def _fuchs(log_f, k) -> Array:
     return np.sqrt(np.maximum(1.0 - _pow(log_f, k), 0.0))
 
 
-def _port_bounds(n: int, log_f, Ms: Array, deltas: Array) -> Array:
-    """Unclamped (1 - n*delta_M - sqrt(1 - F^{2nM}))/2 for port counts Ms (as floats)
-    with simulation errors deltas; log_f = _log_f(F) broadcasts against both."""
-    return (1.0 - n * deltas - _fuchs(log_f, 2.0 * n * Ms)) / 2.0
-
-
-def d_upper_fuchs(F: float, n: int, M: int) -> float:
-    """Trace-distance bound sqrt(1 - F^{2nM}) on nM Choi copies."""
-    _check_interval(F, "fidelity", 0, 1)
-    _check_int(n, "count n =", 1)
-    _check_int(M, "count M =", 1)
-    return float(_fuchs(_log_f(F), 2.0 * n * M))
+def _scan(n: int, log_f, Ms: Array, deltas: Array) -> tuple[Array, Array, Array]:
+    """Unclamped (1 - n*delta_M - D_M)/2 for port counts Ms (as floats) with simulation
+    errors deltas, the Fuchs terms D_M = sqrt(1 - F^{2nM}), and each row's first
+    maximiser of the unclamped bound; log_f = _log_f(F) broadcasts against both."""
+    fuchs = _fuchs(log_f, 2.0 * n * Ms)
+    raw = (1.0 - n * deltas - fuchs) / 2.0
+    return raw, fuchs, raw.argmax(axis=-1)
 
 
 def default_m_grid(n: int, d: int) -> list[int]:
@@ -80,23 +75,22 @@ def default_m_grid(n: int, d: int) -> list[int]:
 
 
 def bound_B_optimized(n: int, d: int, F: float) -> BoundReport:
-    """(1 - n*delta - D)/2 maximized over default_m_grid(n, d), D = d_upper_fuchs.
+    """(1 - n*delta - D)/2 maximized over default_m_grid(n, d), D = sqrt(1 - F^{2nM}).
 
     delta comes from pbt.simulation_error (exact for d=2, the capped
-    2d(d-1)/M bound otherwise); the winning M, the estimator and the delta
-    provenance are recorded in params.
+    2d(d-1)/M bound otherwise). params record the winning M (the first maximiser
+    of the unclamped bound, named even when every bound clamps to 0), its delta
+    and D_M ('d_estimate'), the estimator and the delta provenance.
     """
     _check_int(n, "count n =", 1)
     _check_int(d, "dimension", 2)
     _check_interval(F, "fidelity", 0, 1)
     grid = default_m_grid(n, d)
     deltas, provenance = _simulation_errors(grid, d)
-    raw = _port_bounds(n, _log_f(F), np.array(grid, dtype=float), deltas)
-    i = int(raw.argmax())  # the first maximal M, smallest on a tie
-    M = grid[i]
+    raw, fuchs, i = _scan(n, _log_f(F), np.array(grid, dtype=float), deltas)
     params = {
-        "n": n, "d": d, "M": M, "estimator": "fuchs", "delta": float(deltas[i]),
-        "delta_provenance": provenance, "d_estimate": d_upper_fuchs(F, n, M),
+        "n": n, "d": d, "M": grid[i], "estimator": "fuchs", "delta": float(deltas[i]),
+        "delta_provenance": provenance, "d_estimate": float(fuchs[i]),
     }
     return _report("bound_B_optimized", float(raw[i]), params)
 
@@ -133,8 +127,8 @@ def ad_discrimination_sweep(
     Each row carries the error window [(1 - sqrt(1 - F^{2n}))/2, F^n/2] of the
     block protocol, the lower bound (1 - n*delta_bar - D)/2 at every fixed M in
     M_grid with the pair-average simulation error delta_bar <= delta_M of the
-    two channels, and the bound maximized over M (grid extended so the maximum
-    always dominates the fixed columns).
+    two channels, and the bound maximized over M on a grid holding M_grid; argmax_M is
+    the first maximiser of the unclamped bound, named even when every bound clamps to 0.
 
     The block columns bound only the protocol that sends one half of a
     maximally entangled state through each use and measures the n Choi copies;
@@ -161,9 +155,8 @@ def ad_discrimination_sweep(
     log_f = np.array(log_f)
     f0, f1 = np.array(factors).T[:, :, None]
     delta_bar = (xis * f0 + xis * f1) / 2.0
-    raw = _port_bounds(n, log_f[:, None], np.array(opt_grid, dtype=float), delta_bar)
+    raw, _, best = _scan(n, log_f[:, None], np.array(opt_grid, dtype=float), delta_bar)
     values = np.clip(raw, 0.0, 0.5)
-    best = values.argmax(axis=1).tolist()  # the first maximal M, smallest on a tie
     block_lower = ((1.0 - _fuchs(log_f, 2.0 * n)) / 2.0).tolist()
     block_upper = (_pow(log_f, float(n)) / 2.0).tolist()
     fixed = [opt_grid.index(M) for M in M_grid]

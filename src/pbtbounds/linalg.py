@@ -82,10 +82,6 @@ class DensityMatrix:
         if np.linalg.eigvalsh(mat).min() < -TOL_PSD:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
-
 
 def _trusted(cls, *values):
     """cls(*values), stored without __post_init__; only for states built from validated inputs."""

@@ -31,6 +31,9 @@ from .linalg import (TOL_NUM, Array, DensityMatrix, _check_int, _check_interval,
 # dropped: its share of any of the sums is under 1e-300, far below their last bit.
 _LOG_TINY = 708
 
+# Largest port count _series accepts: its window of about 18.8 sqrt(M) entries
+# takes about 200 MB of temporaries there, and that grows as sqrt(M) beyond.
+_MAX_PORTS = 10**10
 # Most (xi_M, f_e(M)) pairs the store of _series holds, keyed by M.
 _STORE_SIZE = 4096
 _store: dict[int, tuple[float, float]] = {}
@@ -53,10 +56,11 @@ def _window(M: int) -> int:
 def _series(Ms: Sequence[int]) -> Array:
     """xi_M and f_e(M) for each port count of Ms, as the rows of a fresh (2, len(Ms)) array.
 
-    Every port count is checked, in order, and kept as a Python int. Those in
-    the store are read; the missing ones, each once, are computed and stored. A
-    pass that would take the store past _STORE_SIZE empties it first, and of
-    more than _STORE_SIZE new port counts only the first _STORE_SIZE are kept.
+    Every port count is checked, in order and before any is computed, to be an
+    integer in [2, _MAX_PORTS] (10**10), and kept as a Python int. Those in the
+    store are read; the missing ones, each once, are computed and stored. A pass
+    that would take the store past _STORE_SIZE empties it first, and of more
+    than _STORE_SIZE new port counts only the first _STORE_SIZE are kept.
 
     Both sums run over one binomial window per M, the half k <= M/2 in the
     variable t = M - 2k (= 2s + 1 for xi's spins), since f_e's summand is
@@ -69,7 +73,7 @@ def _series(Ms: Sequence[int]) -> Array:
     0, so every M gets the same bits in any batch as on its own.
     """
     for M in Ms:
-        _check_int(M, "port count", 2)
+        _check_int(M, "port count", 2, _MAX_PORTS)
     pairs = {int(M): _store.get(M) for M in Ms}  # int keys: 1 - M must not wrap unsigned
     new = [M for M, pair in pairs.items() if pair is None]
     groups: dict[int, list[tuple[int, int]]] = {}
@@ -119,10 +123,10 @@ def xi(M: int) -> float:
     (M-1)/2, k = (M-1)/2 - s and g = (M+2)^2 - (2s+1)^2. The last factor is
     evaluated as (2s+1)^2 / (g ((M+2) + sqrt(g))), which has no cancellation.
 
-    Only the binomial window around M/2 is summed, so the cost is O(sqrt M).
-    Relative error is at most 1e-14 against a 40-digit mpmath sum for
-    2 <= M <= 1e6. A one-member read of the checked store of _series: a
-    member of any grid equals xi(M) bit for bit.
+    Only the binomial window around M/2 is summed, so the cost is O(sqrt M),
+    and M above 10**10 is rejected. Relative error is at most 1e-14 against a
+    40-digit mpmath sum for 2 <= M <= 1e6. A one-member read of the checked
+    store of _series: a member of any grid equals xi(M) bit for bit.
     """
     return float(_series((M,))[0][0])
 

@@ -162,10 +162,11 @@ class TestIlluminationStates:
     def test_structured_route_matches_mpmath(self):
         # the dense 50-digit eigensolve at d <= 3, the eigenvalue families with
         # a 50-digit block eigensolve at larger d; eta spans [0, 1], b reaches 0
-        for d in (1, 2, 3, 8, 12):
+        # and, for bright backgrounds, 1/d (d = 5 holds the largest gap measured)
+        for d in (1, 2, 3, 5, 8, 12):
             ref = _illumination_fidelity_dense_mp if d <= 3 else _illumination_fidelity_block_mp
-            for eta in (0.0, 1e-3, 0.3, 1.0):
-                for b in (0.0, 1e-9, 1e-3, 0.05):
+            for eta in (0.0, 1e-3, 0.1, 0.3, 1.0):
+                for b in (0.0, 1e-9, 1e-3, 0.05, 0.5 / d, 0.99 / d, (1 - 1e-6) / d):
                     got = illumination_fidelity_exact(d, eta, b, method="structured")
                     assert abs(got - ref(d, eta, b)) <= 1e-15, (d, eta, b)
 

@@ -139,7 +139,7 @@ class TestChoiMatrix:
 
     def test_properties(self):
         cm = choi(amplitude_damping(0.3))
-        assert cm.d_in == 2 and cm.d_out == 2
+        assert cm.d_in == 2 and cm.state.dims == (2, 2)
         assert cm.matrix.shape == (4, 4)
 
 

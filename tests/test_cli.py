@@ -163,6 +163,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, unreached",
+        [
+            (["keyrate", "--e-r-list", "1e-25"], "_window"),  # argmin_M 25298221281348
+            (["ad-sweep", "--m-list", "9223372036854775808"], "_window"),
+            (["xi-table", "--m-max", "10000000001"], "_series"),  # rejected before the range
+        ],
+        ids=["keyrate", "ad-sweep", "xi-table"],
+    )
+    def test_port_count_above_the_kernel_limit_exits_one(self, argv, unreached, capsys, monkeypatch):
+        # rejected before any kernel pass, which would need GBs at such port counts
+        monkeypatch.setattr(pbt, unreached, lambda *a: pytest.fail(f"{unreached} reached"))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "10000000000" in captured.err
+
     @pytest.mark.parametrize("argv", [["keyrate", "--e-r-list", ""], ["ad-sweep", "--m-list", ""]])
     def test_empty_list_argument_rejected(self, argv, capsys):
         assert main(argv) == 1

@@ -1,22 +1,22 @@
-"""Universal discrimination bound, the Fuchs estimator, and the damping-pair sweep."""
+"""Universal discrimination bound, its one port-count scan, and the damping-pair sweep."""
 
 import re
 from math import exp, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pbtbounds.discrimination import (
     ad_discrimination_sweep,
     ad_fidelity,
     bound_B_near_identity,
+    _fuchs,
     _log_f,
-    _port_bounds,
     _report,
+    _scan,
     bound_B_optimized,
-    d_upper_fuchs,
     default_m_grid,
 )
 from pbtbounds.pbt import delta_ad, delta_exact_qubit, simulation_error
@@ -27,27 +27,35 @@ def _count_error(name, value) -> str:
     return rf"^count {name} = {re.escape(str(value))} must be an integer >= 1$"
 
 
+def _fuchs_term(F, n, M):
+    """The Fuchs term D_M = sqrt(1 - F^{2nM}) the scan forms at one port count."""
+    return float(_scan(n, _log_f(F), np.array([float(M)]), np.array([0.0]))[1][0])
+
+
 class TestEstimators:
     def test_fuchs_endpoints(self):
-        assert d_upper_fuchs(1.0, 5, 10) == 0.0
-        assert d_upper_fuchs(0.0, 5, 10) == 1.0
+        assert _fuchs_term(1.0, 5, 10) == 0.0
+        assert _fuchs_term(0.0, 5, 10) == 1.0
+        # and at the winning port count of the optimiser
+        assert bound_B_optimized(5, 2, F=1.0).params["d_estimate"] == 0.0
+        assert bound_B_optimized(5, 2, F=0.0).params["d_estimate"] == 1.0
 
     def test_fuchs_log_domain_agrees_with_direct_power(self):
-        got = d_upper_fuchs(0.99, 2, 4)
+        got = _fuchs_term(0.99, 2, 4)
         assert got == pytest.approx(sqrt(1 - 0.99**16), abs=1e-14)
 
     def test_fuchs_no_underflow_at_large_exponent(self):
         # 2nM ~ 2e6 would underflow a naive power for F close to 0
-        assert d_upper_fuchs(0.5, 1000, 1000) == 1.0
+        assert _fuchs_term(0.5, 1000, 1000) == 1.0
 
-    def test_count_validation(self):
-        # each count is checked on its own and the message names only that count
-        for n, M, name, bad in ((0, 4, "n", 0), (1.5, 4, "n", 1.5), (2, 4.0, "M", 4.0),
-                                (True, 4, "n", True), (2, True, "M", True)):
-            with pytest.raises(ValueError, match=_count_error(name, bad)):
-                d_upper_fuchs(0.9, n, M)
-        with pytest.raises(ValueError):
-            d_upper_fuchs(1.2, 1, 4)
+    def test_scan_returns_bounds_terms_and_first_maximiser(self):
+        # rows broadcast against the port counts; a tie goes to the smaller M
+        Ms, deltas = np.array([2.0, 4.0, 8.0]), np.array([0.5, 0.1, 0.1])
+        raw, fuchs, best = _scan(1, np.array([[0.0], [_log_f(0.9)]]), Ms, deltas)
+        assert raw.shape == fuchs.shape == (2, 3)
+        assert fuchs[0].tolist() == [0.0, 0.0, 0.0]
+        assert raw.tolist() == ((1.0 - deltas - fuchs) / 2.0).tolist()
+        assert best.tolist() == [1, 1]
 
 
 class TestBoundBOptimized:
@@ -62,7 +70,7 @@ class TestBoundBOptimized:
         F = ad_fidelity(0.8, 0.81)
         opt = bound_B_optimized(20, 2, F=F)
         for M in (10, 64, 320):
-            fixed = (1 - 20 * delta_exact_qubit(M) - d_upper_fuchs(F, 20, M)) / 2
+            fixed = (1 - 20 * delta_exact_qubit(M) - _fuchs_term(F, 20, M)) / 2
             assert opt.value >= fixed - 1e-12
 
     def test_clamps_and_keeps_raw(self):
@@ -80,11 +88,16 @@ class TestBoundBOptimized:
             assert got == simulation_error(report.params["M"], d)
 
     def test_estimator_selection_recorded(self):
-        # the recorded estimate is the Fuchs bound at the winning port count
-        for n, d, F in ((2, 2, 0.99), (5, 3, 0.9999), (1, 4, 0.5)):
+        # the recorded estimate is the Fuchs bound at the winning port count, bit for bit
+        for n, d, F in ((2, 2, 0.99), (5, 3, 0.9999), (1, 4, 0.5), (2000, 2, ad_fidelity(0.8, 0.81))):
             params = bound_B_optimized(n, d, F=F).params
             assert params["estimator"] == "fuchs"
-            assert params["d_estimate"] == d_upper_fuchs(F, n, params["M"])
+            assert params["d_estimate"] == float(_fuchs(_log_f(F), 2.0 * n * params["M"]))
+
+    def test_clamped_report_names_the_unclamped_maximiser(self):
+        # every bound of 0.8 vs 0.81 at n = 2000 clamps to 0; M is still the raw argmax
+        report = bound_B_optimized(2000, 2, F=ad_fidelity(0.8, 0.81))
+        assert (report.value, report.params["raw"], report.params["M"]) == (0.0, -0.04687390145301906, 32000)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="fidelity"):
@@ -157,10 +170,10 @@ def test_optimized_monotone_in_fidelity(n, d, F0, F1):
 def test_bound_monotone_in_delta_and_estimate(n, M, delta, F, bump):
     # the estimate D = sqrt(1 - F^{2nM}) grows as F falls
     def bound(delta, F):
-        return _report("B", float(_port_bounds(n, _log_f(F), np.array([M]), np.array([delta]))[0]), {})
+        return _report("B", float(_scan(n, _log_f(F), np.array([M]), np.array([delta]))[0][0]), {})
 
     base = bound(delta, F)
-    assert base.params["raw"] == (1.0 - n * delta - d_upper_fuchs(F, n, M)) / 2.0
+    assert base.params["raw"] == (1.0 - n * delta - _fuchs_term(F, n, M)) / 2.0
     assert 0.0 <= base.value <= 0.5
     assert base.valid == (base.params["raw"] > 0.0)
     assert bound(min(delta + bump, 2.0), F).value <= base.value + 1e-12
@@ -244,7 +257,7 @@ class TestTightened:
             row = ad_discrimination_sweep([p0], p1 - p0, n, grid)[0]
             F = ad_fidelity(p0, p1)
             for M in grid:
-                generic = (1 - n * delta_exact_qubit(M) - d_upper_fuchs(F, n, M)) / 2
+                generic = (1 - n * delta_exact_qubit(M) - _fuchs_term(F, n, M)) / 2
                 assert row[f"lb_M{M}"] >= min(max(generic, 0.0), 0.5) - 1e-12
 
 
@@ -282,3 +295,33 @@ class TestSweep:
     def test_rejects_bad_count(self, n):
         with pytest.raises(ValueError, match=_count_error("n", n)):
             ad_discrimination_sweep([0.5], 0.01, n, [10])
+
+    def test_clamped_rows_name_the_optimisers_port_count(self):
+        # every bound clamps to 0 here; argmax_M is the unclamped maximiser, as in
+        # bound_B_optimized, not the first port count of the grid
+        rows = ad_discrimination_sweep([0.8, 0.98], 0.01, 2000, [10, 100, 1000])
+        assert [(row["lb_optimized"], row["argmax_M"]) for row in rows] == [(0.0, 32000)] * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.0, 1.0, allow_nan=False, width=32),
+    st.floats(0.0, 0.5, allow_nan=False, width=32),
+    st.integers(1, 3000),
+)
+@example(0.8, 0.01, 2000)
+def test_sweep_optimum_is_the_scan_over_its_grid(p, dp, n):
+    # lb_optimized is the largest clamped bound over the sweep's grid, and argmax_M
+    # the first port count with the largest unclamped bound, from scalar calls
+    assume(p + dp <= 1.0)
+    M_grid = [10, 100]
+    row = ad_discrimination_sweep([p], dp, n, M_grid)[0]
+    log_f = _log_f(ad_fidelity(p, p + dp))
+    best_M, best_raw = None, -np.inf
+    for M in sorted(set(default_m_grid(n, 2)) | set(M_grid)):
+        delta_bar = (delta_ad(M, p) + delta_ad(M, p + dp)) / 2
+        raw = (1 - n * delta_bar - float(_fuchs(log_f, 2.0 * n * M))) / 2
+        if raw > best_raw:
+            best_M, best_raw = M, raw
+    assert row["lb_optimized"] == min(max(best_raw, 0.0), 0.5)
+    assert row["argmax_M"] == best_M

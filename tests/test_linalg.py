@@ -21,7 +21,7 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 class TestDensityMatrix:
     def test_valid_construction(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        assert rho.dim == 4
+        assert rho.matrix.shape[-1] == 4
         assert rho.dims == (2, 2)
 
     def test_rejects_non_square(self):
@@ -142,7 +142,7 @@ class TestStacks:
         stack = self._stack((3, 2), 4)
         rho = DensityMatrix(stack, (2, 2))
         assert rho.matrix.shape == (3, 2, 4, 4)
-        assert rho.dim == 4
+        assert rho.matrix.shape[-1] == 4
 
     def test_psd_sqrt_equals_per_member(self):
         stack = self._stack((3, 2), 4)

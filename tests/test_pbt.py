@@ -425,3 +425,35 @@ def test_values_identical_after_the_store_empties(monkeypatch):
     assert sorted(pbt._store) == [200, 201, 202, 203]
     assert pbt._series(Ms).tolist() == before
     assert [xi(M) for M in Ms] == before[0]
+
+
+_LIMIT_ERROR = r"^port count {} must be an integer in \[2, 10000000000\]$"
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        pytest.param(xi, 10**10 + 1, id="xi"),
+        pytest.param(xi, np.uint64(2**63), id="xi-uint64"),
+        pytest.param(lambda M: pbt._series([3, 64, M, 5]), 10**10 + 1, id="grid"),
+        pytest.param(lambda M: pbt._simulation_errors([3, M], 2), 2**53 + 1, id="delta-grid"),
+    ],
+)
+def test_port_count_above_the_limit_is_rejected_before_any_pass(call, bad, monkeypatch):
+    # a window of about 18.8 sqrt(M) entries per port count: 1e12 ports would take GBs
+    _no_kernel_pass(monkeypatch)
+    with pytest.raises(ValueError, match=_LIMIT_ERROR.format(bad)):
+        call(bad)
+
+
+def test_port_count_at_the_limit_passes_the_check(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(M):
+        raise Reached(M)
+
+    monkeypatch.setattr(pbt, "_store", {})
+    monkeypatch.setattr(pbt, "_window", reached)
+    with pytest.raises(Reached):
+        xi(10**10)

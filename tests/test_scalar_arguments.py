@@ -27,7 +27,6 @@ _VALID_CALLS = {
     "amplitude_damping": (dict(p=0.3), ("p",)),
     "delta_ad": (dict(M=10, p=0.3), ("p",)),
     "ad_fidelity": (dict(p0=0.3, p1=0.4), ("p0", "p1")),
-    "d_upper_fuchs": (dict(F=0.9, n=2, M=3), ("F",)),
     "bound_B_optimized": (dict(n=3, d=2, F=0.9), ("F",)),
     "bound_B_near_identity": (dict(n=3, d=2, epsilon=1e-4), ("epsilon",)),
     "ad_discrimination_sweep": (dict(p_grid=[0.3], dp=0.01, n=3, M_grid=[10]), ("p_grid", "dp")),
