@@ -339,26 +339,30 @@ def m_tilde(d: int, e_r: float) -> float:
 
 
 def key_rate_minimize_m(d: int, e_r: float) -> tuple[int, float]:
-    """Smallest asymptotic bound g(M) over integer M = 2 .. max(ceil(4 m_tilde), 8).
+    """Smallest asymptotic bound g(M) over integer M >= 2.
 
     g is strictly convex in M: M e_r is linear, c/M convex, and h(M) = f(b/M)
     with b = d(d-1), eps = b/M has
     h'' = (b/(M^3 ln 2))(2 ln(1 + 1/eps) - 1/(1 + eps)) > 0,
     since ln(1 + 1/eps) >= 1/(1 + eps). So the integer minimum is the first M
-    with g(M+1) >= g(M), which bisection finds in O(log M) calls. For
+    with g(M+1) >= g(M), which bisection finds in O(log M) calls. The search
+    range 2 .. max(ceil(4 m_tilde), 8) holds it down to e_r of about 1e-16 at
+    d = 2; below that the f-term's log moves the minimum past ceil(4 m_tilde),
+    so the range end is doubled while g still falls there. For
     e_r >= 1e-12 at d <= 8 this is the same (argmin, minimum) as scanning the
     whole grid for its first smallest value. Below that, g's rounding error (a
     few ulp) can exceed its change over a port near the minimum, and the two
     may pick neighbouring ports whose values tie to rounding. m_tilde rejects
     e_r = 0, which has no finite minimizer, and an e_r whose m_tilde overflows;
-    an e_r whose grid ends above 2^53, where M + 1 is no longer exact, is rejected too.
+    an e_r whose range ends above 2^53, where M + 1 is no longer exact, is rejected too.
     """
-    scan_end = 4.0 * m_tilde(d, e_r)
-    if scan_end > 2.0**53:
-        raise ValueError(f"entanglement value e_r = {e_r} needs port counts above 2^53")
-    end = max(ceil(scan_end), 8)
     g = partial(key_rate_bound_asymptotic, d, e_r)
-    lo, hi = 2, end  # the first M with g(M+1) >= g(M), or end if none, lies in [lo, hi]
+    lo, hi = 2, max(ceil(4.0 * m_tilde(d, e_r)), 8)
+    while hi <= 2**53 and g(hi + 1) < g(hi):  # the minimum lies past hi
+        lo, hi = hi + 1, 2 * hi
+    if hi > 2**53:
+        raise ValueError(f"entanglement value e_r = {e_r} needs port counts above 2^53")
+    # the first M with g(M+1) >= g(M) lies in [lo, hi]
     while lo < hi:
         mid = (lo + hi) // 2
         if g(mid + 1) >= g(mid):

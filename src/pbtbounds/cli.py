@@ -28,6 +28,9 @@ from .linalg import _check_int, _check_interval, fidelity
 
 OUT_DIR_ENV = "PBTBOUNDS_OUT_DIR"
 JSON_SCHEMA = "pbtbounds-table/1"
+# Most rows xi-table prints (rows M = 2..100001 take about 37 s on a 2-vCPU
+# host); a range inside [2, pbt._MAX_PORTS] could otherwise ask for 10**10.
+_MAX_ROWS = 10**5
 
 
 def _fmt(value, precision: int):
@@ -68,6 +71,10 @@ def cmd_xi_table(args: argparse.Namespace) -> list[dict]:
     if not 2 <= args.m_min <= args.m_max <= pbt._MAX_PORTS:  # before the range is built
         raise ValueError(
             f"need 2 <= M_min <= M_max <= {pbt._MAX_PORTS}, got [{args.m_min}, {args.m_max}]"
+        )
+    if args.m_max - args.m_min + 1 > _MAX_ROWS:
+        raise ValueError(
+            f"xi-table prints at most {_MAX_ROWS} rows, got [{args.m_min}, {args.m_max}]"
         )
     grid = range(args.m_min, args.m_max + 1)
     xis, fes = pbt._series(grid)

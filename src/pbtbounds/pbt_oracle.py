@@ -5,11 +5,15 @@ states, their sum, the POVM — with no reference to the closed-form xi_M, so it
 can serve as an independent check of that formula. The U x conj(U)-invariant
 resource conserves the charge w(A) - w(C), so the build runs per charge sector,
 in real arithmetic, and the ensemble keeps only the POVM's sector blocks: the
-port states and their sum live only inside the per-sector solve. The Choi
-matrix is read off those blocks. The build checks only that each block
-resolves the identity, the one property the numerics decide; the tests pin
-the layout and positivity, fixed by M, and keep the dense full-space build
-and the explicit full-state route as references.
+port states and their sum live only inside the per-sector solve. The global
+bit flip X^{M+1} fixes every port state and pairs sector q with sector M - 1 - q,
+so ceil((M+2)/2) sectors are solved and each partner's blocks are a reversed
+view of its solved sector's, halving the unique block memory at even M. The
+Choi matrix is read off the blocks, with the port labels and pairs the build
+found. The build checks only that each solved block resolves the identity,
+the one property the numerics decide; the tests pin the layout, the mirror
+and positivity, fixed by M, and keep the dense full-space build and the
+explicit full-state route as references.
 
 Qubit ordering: measured registers [C, A_1..A_M] (dimension 2^{M+1}); D is the
 reference purifying C and B_i the receiver half of port i.
@@ -25,7 +29,8 @@ from .channels import ChoiMatrix
 from .linalg import Array, DensityMatrix, _check_int
 from .pbt import _depolarizing_choi_matrix  # a function of x only; xi_M is never read
 
-# At M = 8: ten sector eigensolves (126 dims at most), 3.0 MiB of blocks, 15-26 ms on one core.
+# At M = 8: five sector eigensolves (126 dims at most), 1.5 MiB of unique blocks (3.0 MiB
+# with the mirrored views), 5.5-10 ms per oracle_channel_choi(8) on one core.
 M_MAX = 8
 # Residual allowed between the computed Choi matrix and its isotropic fit.
 TOL_ISO = 1e-9
@@ -39,13 +44,19 @@ class PbtEnsemble:
     w(A) - w(C) = k - 1; every POVM element vanishes off these sectors, so
     only its blocks are kept, in that order. povm[k] is an (M, n_k, n_k) stack
     whose entry i-1 is the block of Pi^i, completed by the equal split of the
-    kernel projector (see build_ensemble). A plain record: build_ensemble checks
-    the identity sum block by block; the layout and positivity, fixed by M, are pinned by tests.
+    kernel projector (see build_ensemble). labels[k] and pairs[k] are the
+    sector's port labels and pairs (see _sector_pairs), which the Choi readout
+    takes from here. Sector M + 1 - k is the bit flip of sector k: its entries
+    are reversed views of sector k's blocks. A plain record: build_ensemble
+    checks the identity sum block by block; the layout and positivity, fixed by
+    M, are pinned by tests.
     """
 
     M: int
     sectors: tuple[Array, ...]
     povm: tuple[Array, ...]
+    labels: tuple[Array, ...]
+    pairs: tuple[Array, ...]
 
 
 def _sector_pairs(sector: Array, M: int) -> tuple[Array, Array]:
@@ -73,26 +84,40 @@ def build_ensemble(M: int) -> PbtEnsemble:
     in float64 since every entry is real. On a sector, with S = rho^{-1/2} and
     sigma^i = 2^{-M} V_i V_i^T (columns e_x0 + e_x1), Pi^i = 2^{-M} (S V_i)(S V_i)^T
     plus the kernel share: one eigensolve and one batched product over the ports.
+
+    The bit flip X^{M+1} leaves every sigma^i unchanged (X tensor X fixes Phi) and
+    maps sector q onto sector M - 1 - q, reversing the ascending state order. So
+    only the sectors k = 0..ceil((M+2)/2) - 1 are solved; sector M + 1 - k is
+    stored as the reversed view of sector k's blocks, with its labels and pairs
+    mirrored to match (at odd M the middle sector is its own partner and is
+    stored as solved). The identity check runs on every solved block; a mirrored
+    block is an exact permutation of a checked one, so it resolves the identity
+    to the same bits.
     """
     _check_int(M, "port count", 2, M_MAX)
     states = np.arange(2 ** (M + 1))
     charge = (states[:, None] >> np.arange(M) & 1).sum(axis=1) - (states >> M)
     sectors = tuple(np.flatnonzero(charge == q) for q in range(-1, M + 1))
-    povm = []
-    for sector in sectors:
-        pairs = _sector_pairs(sector, M)[1]
-        sigma = np.zeros((M, sector.size, sector.size))
-        sigma[np.arange(M)[:, None], pairs[:, None], pairs] = 2.0**-M
+    povm, labels, pairs = [None] * (M + 2), [None] * (M + 2), [None] * (M + 2)
+    for k in range((M + 3) // 2):
+        n = sectors[k].size
+        lab, pair = _sector_pairs(sectors[k], M)
+        sigma = np.zeros((M, n, n))
+        sigma[np.arange(M)[:, None], pair[:, None], pair] = 2.0**-M
         rho = sigma.sum(axis=0)
         evals, vecs = np.linalg.eigh(rho)
         live = evals > 1e-10  # rho has exact zero eigenvalues by symmetry; below 1e-10 is one
         support, kernel = vecs[:, live], vecs[:, ~live]
         S = (support / np.sqrt(evals[live])) @ support.T
-        SV = S[:, pairs].sum(axis=1).transpose(1, 0, 2)
-        povm.append(SV @ SV.transpose(0, 2, 1) / 2**M + kernel @ kernel.T / M)
-        if not np.abs(povm[-1].sum(axis=0) - np.eye(sector.size)).max() <= 1e-10:  # NaN fails too
+        SV = S[:, pair].sum(axis=1).transpose(1, 0, 2)
+        P = SV @ SV.transpose(0, 2, 1) / 2**M + kernel @ kernel.T / M
+        if not np.abs(P.sum(axis=0) - np.eye(n)).max() <= 1e-10:  # NaN fails too
             raise ValueError("POVM does not resolve the identity")
-    return PbtEnsemble(M, sectors, tuple(povm))
+        povm[k], labels[k], pairs[k] = P, lab, pair
+        j = M + 1 - k  # the flip partner; the flip turns label 2C + A_i = l into 3 - l
+        if j != k:
+            povm[j], labels[j], pairs[j] = P[:, ::-1, ::-1], 3 - lab[:, ::-1], n - 1 - pair[::-1, :, ::-1]
+    return PbtEnsemble(M, sectors, tuple(povm), tuple(labels), tuple(pairs))
 
 
 def _isotropic_fit(J: Array) -> float:
@@ -110,15 +135,16 @@ def oracle_channel_choi(M: int) -> ChoiMatrix:
     A_i -> output). Pi^i conserves the charge, so that trace keeps only the
     diagonal, binned by 2C + A_i, and the |00><11| entry, the sum of
     Pi^i[x0, x1] over port i's pairs; every other entry is exactly zero. The
+    labels and pairs come from the build. The sum runs over all M + 2 sector
+    blocks, mirrored ones included, rather than doubling the solved ones. The
     sum over outcomes is verified (rather than assumed) to fit the isotropic
     form within TOL_ISO. Each entry is one pairwise numpy sum over its terms
     (1024 at M = 8), where a running sum drifts by 1e-15.
     """
     ens = build_ensemble(M)
-    labels, pairs = zip(*(_sector_pairs(sector, M) for sector in ens.sectors))
     diagonal = np.hstack([P.diagonal(0, 1, 2) for P in ens.povm])
-    total = np.diag((np.equal.outer(range(4), np.hstack(labels)) * diagonal).sum(axis=(1, 2)))
-    corner = [P[(np.arange(M)[:, None], *x)] for P, x in zip(ens.povm, pairs)]
+    total = np.diag((np.equal.outer(range(4), np.hstack(ens.labels)) * diagonal).sum(axis=(1, 2)))
+    corner = [P[(np.arange(M)[:, None], *x)] for P, x in zip(ens.povm, ens.pairs)]
     total[0, 3] = total[3, 0] = np.hstack(corner).sum()
     total /= 2 ** (M + 1)
     if np.abs(total - _depolarizing_choi_matrix(_isotropic_fit(total))).max() > TOL_ISO:

@@ -566,6 +566,15 @@ class TestAsymptoticKeyRate:
         for d, e_r in _scan_cases():
             assert key_rate_minimize_m(d, e_r) == _full_scan_minimum(d, e_r), (d, e_r)
 
+    @pytest.mark.parametrize("e_r", [1e-17, 1e-18])
+    def test_minimum_past_the_initial_range_end(self, e_r):
+        # at d = 2 the f-term moves the minimum past ceil(4 m_tilde) as e_r
+        # falls; the search widens its range rather than return that end
+        best_m, best = key_rate_minimize_m(2, e_r)
+        g = [key_rate_bound_asymptotic(2, e_r, M) for M in (best_m - 1, best_m, best_m + 1)]
+        assert best_m > ceil(4 * m_tilde(2, e_r))
+        assert best == g[1] and g[0] >= best and g[2] >= best
+
     def test_scan_is_unimodal(self):
         grid = range(2, 81)
         vals = [key_rate_bound_asymptotic(2, 1e-2, M) for M in grid]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pbtbounds import pbt
+from pbtbounds import cli, pbt
 from pbtbounds.cli import JSON_SCHEMA, OUT_DIR_ENV, main
 
 HEADERS = {
@@ -166,7 +166,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, unreached",
         [
-            (["keyrate", "--e-r-list", "1e-25"], "_window"),  # argmin_M 25298221281348
+            (["keyrate", "--e-r-list", "1e-25"], "_window"),  # argmin_M 30151074504523
             (["ad-sweep", "--m-list", "9223372036854775808"], "_window"),
             (["xi-table", "--m-max", "10000000001"], "_series"),  # rejected before the range
         ],
@@ -180,6 +180,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "10000000000" in captured.err
+
+    @pytest.mark.parametrize(
+        "m_min, m_max", [(2, 10**10), (2, 100_002), (10**9, 10**9 + 100_000)]
+    )
+    def test_xi_table_above_the_row_limit_exits_one(self, m_min, m_max, capsys, monkeypatch):
+        # every port count is within the kernel's limit, but the range is
+        # rejected before the kernel checks or stores a member
+        monkeypatch.setattr(pbt, "_series", lambda *a: pytest.fail("_series reached"))
+        assert main(["xi-table", "--m-min", str(m_min), "--m-max", str(m_max)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: xi-table prints at most 100000 rows, got [{m_min}, {m_max}]\n"
+
+    def test_xi_table_at_the_row_limit_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ROWS", 3)
+        code, out = _run(["xi-table", "--m-min", "2", "--m-max", "4"], capsys)
+        assert code == 0 and len(out.splitlines()) == 4
+        assert main(["xi-table", "--m-min", "2", "--m-max", "5"]) == 1
 
     @pytest.mark.parametrize("argv", [["keyrate", "--e-r-list", ""], ["ad-sweep", "--m-list", ""]])
     def test_empty_list_argument_rejected(self, argv, capsys):

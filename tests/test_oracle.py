@@ -1,5 +1,6 @@
 """Brute-force protocol construction against the closed forms."""
 
+from dataclasses import replace
 from math import comb, sqrt
 
 import numpy as np
@@ -9,8 +10,8 @@ from pbtbounds import cli, pbt_oracle
 from pbtbounds.pbt import pbt_choi_qubit, xi
 from pbtbounds.pbt_oracle import (
     M_MAX,
-    PbtEnsemble,
     _isotropic_fit,
+    _sector_pairs,
     build_ensemble,
     oracle_channel_choi,
     oracle_xi,
@@ -108,6 +109,18 @@ def _charge(M):
     return np.array([bin(x % 2**M).count("1") - x // 2**M for x in range(2 ** (M + 1))])
 
 
+# Every solve the build makes at an odd and an even M (at M = 3 the last one is
+# the middle sector, its own flip partner). Solve 0 is the one-state sector
+# C = 1, A = 0..0, where rho = 0: scaling its zero spectrum changes nothing.
+_EIGH_FAULTS = [
+    (fault, M, solve)
+    for fault in ("scaled", "lifted", "nan")
+    for M in (3, 4)
+    for solve in range((M + 3) // 2)
+    if (fault, solve) != ("scaled", 0)
+]
+
+
 class TestEnsemble:
     def test_povm_completeness(self):
         for M in (2, 3, 4):
@@ -167,6 +180,40 @@ class TestEnsemble:
             evals = np.linalg.eigvalsh(rho[np.ix_(sector, sector)])
             assert int(np.sum(evals < 1e-10)) == 1
 
+    @pytest.mark.parametrize("M", range(2, 7))
+    def test_dense_reference_is_flip_symmetric(self, M):
+        # the symmetry the mirrored build relies on, read off the build that
+        # does not assume it: X^{M+1} sends basis state x to 2^{M+1} - 1 - x,
+        # so conjugating by it reverses both axes
+        (sigmas, rho, povm), charge = _dense_ensemble(M), _charge(M)
+        assert all(np.array_equal(s[::-1, ::-1], s) for s in sigmas)
+        assert np.array_equal(rho[::-1, ::-1], rho)
+        assert max(np.abs(P[::-1, ::-1] - P).max() for P in povm) <= 1e-14
+        assert np.array_equal(charge[::-1], M - 1 - charge)  # sector q onto sector M - 1 - q
+
+    @pytest.mark.parametrize("M", range(2, M_MAX + 1))
+    def test_partner_sectors_are_mirrored_views(self, M):
+        # sector M + 1 - k is the flip of sector k: its blocks are reversed
+        # views of k's, and its mirrored labels and pairs equal a fresh count
+        ens = build_ensemble(M)
+        for k in range(M // 2 + 1):  # every k < M + 1 - k; at odd M the middle is its own partner
+            j = M + 1 - k
+            assert np.array_equal(ens.sectors[j], 2 ** (M + 1) - 1 - ens.sectors[k][::-1])
+            assert np.shares_memory(ens.povm[j], ens.povm[k])
+            assert np.array_equal(ens.povm[j], ens.povm[k][:, ::-1, ::-1])
+        for sector, labels, pairs in zip(ens.sectors, ens.labels, ens.pairs):
+            want_labels, want_pairs = _sector_pairs(sector, M)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(pairs, want_pairs)
+
+    @pytest.mark.parametrize("M", range(2, M_MAX + 1))
+    def test_one_eigensolve_per_flip_pair(self, monkeypatch, M):
+        # ceil((M + 2) / 2) solves, on sectors 0.. in order
+        eigh, solved = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape[0]) or eigh(a))
+        build_ensemble(M)
+        assert solved == [comb(M + 1, k) for k in range((M + 3) // 2)]
+
     @pytest.mark.parametrize("M", range(2, M_MAX + 1))
     def test_layout_fixed_by_port_count(self, M):
         # the build checks only the identity sum; the layout it returns is a
@@ -180,23 +227,27 @@ class TestEnsemble:
             assert np.all(charge[sector] == k - 1)
         assert [P.shape for P in ens.povm] == [(M, s.size, s.size) for s in ens.sectors]
 
-    @pytest.mark.parametrize("fault", ["scaled", "nan"])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_build_checks_identity_on_every_block(self, monkeypatch, fault, k):
-        # a fault in the eigensolve of sector k alone (its eigenvalues scaled,
-        # or NaN eigenvectors) must stop the build
+    @pytest.mark.parametrize(("fault", "M", "solve"), _EIGH_FAULTS)
+    def test_build_checks_identity_on_every_block(self, monkeypatch, fault, M, solve):
+        # a fault in one eigensolve alone (its eigenvalues scaled, or lifted so
+        # that the zero one joins the support, or NaN eigenvectors) must stop
+        # the build, whichever solve it hits
         eigh, solved = np.linalg.eigh, []
 
         def faulty(a):
             evals, vecs = eigh(a)
             solved.append(a.shape)
-            if len(solved) == k + 1:
-                return (0.9 * evals, vecs) if fault == "scaled" else (evals, np.full_like(vecs, np.nan))
+            if len(solved) == solve + 1:
+                return {
+                    "scaled": (0.9 * evals, vecs),
+                    "lifted": (evals + 1e-3, vecs),
+                    "nan": (evals, np.full_like(vecs, np.nan)),
+                }[fault]
             return evals, vecs
 
         monkeypatch.setattr(np.linalg, "eigh", faulty)
         with pytest.raises(ValueError, match="identity"):
-            build_ensemble(3)
+            build_ensemble(M)
 
 
 class TestChoiExtraction:
@@ -226,6 +277,17 @@ class TestChoiExtraction:
         explicit = sum(_port_outputs(build_ensemble(M)))
         assert np.abs(explicit - oracle_channel_choi(M).matrix).max() < 1e-12
 
+    @pytest.mark.parametrize("M", [3, 8])
+    def test_readout_takes_labels_and_pairs_from_the_build(self, monkeypatch, M):
+        # the build counts the pairs of its solved sectors only; the readout
+        # counts none of its own
+        sector_pairs, counted = pbt_oracle._sector_pairs, []
+        monkeypatch.setattr(
+            pbt_oracle, "_sector_pairs", lambda s, M: counted.append(s.size) or sector_pairs(s, M)
+        )
+        oracle_channel_choi(M)
+        assert len(counted) == (M + 3) // 2
+
     def test_anisotropic_choi_rejected(self, monkeypatch):
         # the diagonal of the C = 1 states raised in one sector: the read-off
         # Choi matrix leaves the isotropic form
@@ -233,7 +295,7 @@ class TestChoiExtraction:
         raised = ens.povm[2].copy()
         c1 = np.flatnonzero(ens.sectors[2] >> 3)
         raised[:, c1, c1] += 1e-3
-        broken = PbtEnsemble(3, ens.sectors, (*ens.povm[:2], raised, *ens.povm[3:]))
+        broken = replace(ens, povm=(*ens.povm[:2], raised, *ens.povm[3:]))
         monkeypatch.setattr(pbt_oracle, "build_ensemble", lambda M: broken)
         with pytest.raises(RuntimeError, match="not isotropic"):
             oracle_channel_choi(3)
