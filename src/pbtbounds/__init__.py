@@ -42,6 +42,6 @@ from .pbt import (
     simulation_error,
     xi,
 )
-from .pbt_oracle import PbtEnsemble, build_ensemble, oracle_channel_choi, oracle_xi
+from .pbt_oracle import oracle_channel_choi, oracle_xi
 
 __version__ = "0.1.0"

@@ -3,17 +3,17 @@
 Builds the square-root-measurement protocol from first principles — port
 states, their sum, the POVM — with no reference to the closed-form xi_M, so it
 can serve as an independent check of that formula. The U x conj(U)-invariant
-resource conserves the charge w(A) - w(C), so the build runs per charge sector,
-in real arithmetic, and the ensemble keeps only the POVM's sector blocks: the
-port states and their sum live only inside the per-sector solve. The global
-bit flip X^{M+1} fixes every port state and pairs sector q with sector M - 1 - q,
-so ceil((M+2)/2) sectors are solved and each partner's blocks are a reversed
-view of its solved sector's, halving the unique block memory at even M. The
-Choi matrix is read off the blocks, with the port labels and pairs the build
-found. The build checks only that each solved block resolves the identity,
-the one property the numerics decide; the tests pin the layout, the mirror
-and positivity, fixed by M, and keep the dense full-space build and the
-explicit full-state route as references.
+resource conserves the charge w(A) - w(C), so the protocol is solved per charge
+sector, in real arithmetic, one sector at a time: _solve_sectors yields each
+solved sector's rho^{-1/2} and kernel basis, checks that the POVM they define
+resolves the identity, and keeps nothing. The global bit flip X^{M+1} fixes
+every port state and pairs sector q with sector M - 1 - q, so ceil((M+2)/2)
+sectors are solved. The Choi readout needs two numbers per port and state, the
+diagonal of Pi^i and its entries on port i's pairs, and forms them straight
+from the solve, a bounded chunk of ports at a time, so no POVM block is ever
+formed; a flip partner adds the same numbers at flipped labels. The tests
+form the dense blocks from the same solve and keep the dense full-space build
+and the explicit full-state route as references.
 
 Qubit ordering: measured registers [C, A_1..A_M] (dimension 2^{M+1}); D is the
 reference purifying C and B_i the receiver half of port i.
@@ -21,7 +21,7 @@ reference purifying C and B_i the receiver half of port i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -29,34 +29,12 @@ from .channels import ChoiMatrix
 from .linalg import Array, DensityMatrix, _check_int
 from .pbt import _depolarizing_choi_matrix  # a function of x only; xi_M is never read
 
-# At M = 8: five sector eigensolves (126 dims at most), 1.5 MiB of unique blocks (3.0 MiB
-# with the mirrored views), 5.5-10 ms per oracle_channel_choi(8) on one core.
-M_MAX = 8
+# At M = 12: seven sector eigensolves (1716 dims at most); oracle_channel_choi(12) takes
+# 3.1-3.5 s on one core and peaks at ~215 MB RSS in a fresh process, since only one sector's
+# rho, eigenvectors and S (23.6 MB each at 1716 dims) and the identity check's products live at once.
+M_MAX = 12
 # Residual allowed between the computed Choi matrix and its isotropic fit.
 TOL_ISO = 1e-9
-
-
-@dataclass(frozen=True)
-class PbtEnsemble:
-    """Square-root measurement of the M-port protocol on registers [C, A_1..A_M], per charge sector.
-
-    sectors[k] lists in ascending order the basis states of charge
-    w(A) - w(C) = k - 1; every POVM element vanishes off these sectors, so
-    only its blocks are kept, in that order. povm[k] is an (M, n_k, n_k) stack
-    whose entry i-1 is the block of Pi^i, completed by the equal split of the
-    kernel projector (see build_ensemble). labels[k] and pairs[k] are the
-    sector's port labels and pairs (see _sector_pairs), which the Choi readout
-    takes from here. Sector M + 1 - k is the bit flip of sector k: its entries
-    are reversed views of sector k's blocks. A plain record: build_ensemble
-    checks the identity sum block by block; the layout and positivity, fixed by
-    M, are pinned by tests.
-    """
-
-    M: int
-    sectors: tuple[Array, ...]
-    povm: tuple[Array, ...]
-    labels: tuple[Array, ...]
-    pairs: tuple[Array, ...]
 
 
 def _sector_pairs(sector: Array, M: int) -> tuple[Array, Array]:
@@ -73,7 +51,7 @@ def _sector_pairs(sector: Array, M: int) -> tuple[Array, Array]:
     return labels, np.nonzero(np.equal.outer((0, 3), labels))[2].reshape(2, M, -1)
 
 
-def build_ensemble(M: int) -> PbtEnsemble:
+def _solve_sectors(M: int) -> Iterator[tuple[Array, Array, Array, Array, Array]]:
     """Square-root measurement for M ports, solved one charge sector at a time.
 
     sigma^i = 2^{-(M-1)} Phi_{A_i C} tensor I_rest is 2^{-M} on {x0, x1}^2 for each
@@ -81,43 +59,33 @@ def build_ensemble(M: int) -> PbtEnsemble:
     Pi^i = rho^{-1/2} sigma^i rho^{-1/2} + (I - supp(rho))/M, the inverse square
     root taken on the support. Pairs keep the charge w(A) - w(C) (w counts |1>s),
     so the M + 2 sectors q = -1..M, of dimension C(M+1, q+1), are solved apart,
-    in float64 since every entry is real. On a sector, with S = rho^{-1/2} and
-    sigma^i = 2^{-M} V_i V_i^T (columns e_x0 + e_x1), Pi^i = 2^{-M} (S V_i)(S V_i)^T
-    plus the kernel share: one eigensolve and one batched product over the ports.
+    in float64 since every entry is real. On a sector rho is formed directly: its
+    diagonal counts the pairs each state is in, and x1 - x0 = 2^M + 2^{M-i} differs
+    per port, so each pair's off-diagonal entry is 2^{-M} alone.
 
     The bit flip X^{M+1} leaves every sigma^i unchanged (X tensor X fixes Phi) and
     maps sector q onto sector M - 1 - q, reversing the ascending state order. So
-    only the sectors k = 0..ceil((M+2)/2) - 1 are solved; sector M + 1 - k is
-    stored as the reversed view of sector k's blocks, with its labels and pairs
-    mirrored to match (at odd M the middle sector is its own partner and is
-    stored as solved). The identity check runs on every solved block; a mirrored
-    block is an exact permutation of a checked one, so it resolves the identity
-    to the same bits.
+    only the sectors k = 0..ceil((M+2)/2) - 1 are solved; for each the generator
+    yields (states, labels, pairs, S, K), with S = rho^{-1/2} on the support and K
+    the kernel basis. With V_i the columns e_x0 + e_x1 of port i's pairs,
+    Pi^i = 2^{-M} (S V_i)(S V_i)^T + K K^T / M. Before yielding, it checks that
+    S rho S + K K^T, the sum of these Pi^i, is the identity (NaN fails too).
     """
     _check_int(M, "port count", 2, M_MAX)
     states = np.arange(2 ** (M + 1))
     charge = (states[:, None] >> np.arange(M) & 1).sum(axis=1) - (states >> M)
-    sectors = tuple(np.flatnonzero(charge == q) for q in range(-1, M + 1))
-    povm, labels, pairs = [None] * (M + 2), [None] * (M + 2), [None] * (M + 2)
     for k in range((M + 3) // 2):
-        n = sectors[k].size
-        lab, pair = _sector_pairs(sectors[k], M)
-        sigma = np.zeros((M, n, n))
-        sigma[np.arange(M)[:, None], pair[:, None], pair] = 2.0**-M
-        rho = sigma.sum(axis=0)
+        sector = np.flatnonzero(charge == k - 1)
+        labels, pairs = _sector_pairs(sector, M)
+        rho = np.diag(np.bincount(pairs.ravel(), minlength=sector.size) / 2**M)
+        rho[pairs[0], pairs[1]] = rho[pairs[1], pairs[0]] = 2.0**-M
         evals, vecs = np.linalg.eigh(rho)
         live = evals > 1e-10  # rho has exact zero eigenvalues by symmetry; below 1e-10 is one
-        support, kernel = vecs[:, live], vecs[:, ~live]
-        S = (support / np.sqrt(evals[live])) @ support.T
-        SV = S[:, pair].sum(axis=1).transpose(1, 0, 2)
-        P = SV @ SV.transpose(0, 2, 1) / 2**M + kernel @ kernel.T / M
-        if not np.abs(P.sum(axis=0) - np.eye(n)).max() <= 1e-10:  # NaN fails too
+        K = vecs[:, ~live]
+        S = (vecs[:, live] / np.sqrt(evals[live])) @ vecs[:, live].T
+        if not np.abs(S @ rho @ S + K @ K.T - np.eye(len(S))).max() <= 1e-10:  # NaN fails too
             raise ValueError("POVM does not resolve the identity")
-        povm[k], labels[k], pairs[k] = P, lab, pair
-        j = M + 1 - k  # the flip partner; the flip turns label 2C + A_i = l into 3 - l
-        if j != k:
-            povm[j], labels[j], pairs[j] = P[:, ::-1, ::-1], 3 - lab[:, ::-1], n - 1 - pair[::-1, :, ::-1]
-    return PbtEnsemble(M, sectors, tuple(povm), tuple(labels), tuple(pairs))
+        yield sector, labels, pairs, S, K
 
 
 def _isotropic_fit(J: Array) -> float:
@@ -134,18 +102,31 @@ def oracle_channel_choi(M: int) -> ChoiMatrix:
     outcome's contribution into 2^{-(M+1)} Tr_rest[(Pi^i)^T] on (C -> reference,
     A_i -> output). Pi^i conserves the charge, so that trace keeps only the
     diagonal, binned by 2C + A_i, and the |00><11| entry, the sum of
-    Pi^i[x0, x1] over port i's pairs; every other entry is exactly zero. The
-    labels and pairs come from the build. The sum runs over all M + 2 sector
-    blocks, mirrored ones included, rather than doubling the solved ones. The
-    sum over outcomes is verified (rather than assumed) to fit the isotropic
-    form within TOL_ISO. Each entry is one pairwise numpy sum over its terms
-    (1024 at M = 8), where a running sum drifts by 1e-15.
+    Pi^i[x0, x1] over port i's pairs; every other entry is exactly zero. Per
+    solved sector and port, with SV = S V_i,
+    diag Pi^i = rowsum(SV^2) / 2^M + rowsum(K^2) / M and
+    Pi^i[x0, x1] = <SV[x0], SV[x1]> / 2^M + <K[x0], K[x1]> / M.
+    The flip partner of a solved sector holds Pi^i reversed, with labels
+    3 - l: the same diagonal sums at flipped labels and the same pair entries.
+    The sum over outcomes is verified (rather than assumed) to fit the
+    isotropic form within TOL_ISO.
     """
-    ens = build_ensemble(M)
-    diagonal = np.hstack([P.diagonal(0, 1, 2) for P in ens.povm])
-    total = np.diag((np.equal.outer(range(4), np.hstack(ens.labels)) * diagonal).sum(axis=(1, 2)))
-    corner = [P[(np.arange(M)[:, None], *x)] for P, x in zip(ens.povm, ens.pairs)]
-    total[0, 3] = total[3, 0] = np.hstack(corner).sum()
+    diagonals, corners = [], []
+    for k, (_, labels, pairs, S, K) in enumerate(_solve_sectors(M)):
+        paired = 2 * k != M + 1  # at odd M the middle sector is its own partner
+        kernel = (K**2).sum(axis=1) / M
+        step = max(1, 2**20 // (len(S) * pairs.shape[2] + 1))  # ports per gather: SV within 8 MiB
+        for lo in range(0, M, step):
+            x0, x1 = pairs[:, lo : lo + step]
+            port = np.arange(len(x0))[:, None]
+            SV = S[:, x0] + S[:, x1]  # (n, ports, p)
+            diagonal = (SV**2).sum(axis=2).T / 2**M + kernel
+            bins = (np.equal.outer(range(4), labels[lo : lo + step]) * diagonal).sum(axis=(1, 2))
+            corner = (SV[x0, port] * SV[x1, port]).sum() / 2**M + (K[x0] * K[x1]).sum() / M
+            diagonals.append(bins + bins[::-1] if paired else bins)
+            corners.append(2 * corner if paired else corner)
+    total = np.diag(np.sum(diagonals, axis=0))
+    total[0, 3] = total[3, 0] = np.sum(corners)
     total /= 2 ** (M + 1)
     if np.abs(total - _depolarizing_choi_matrix(_isotropic_fit(total))).max() > TOL_ISO:
         raise RuntimeError(f"oracle Choi for M={M} is not isotropic")

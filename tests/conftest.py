@@ -1,4 +1,4 @@
-"""Shared strategies and the reference test channels.
+"""Shared strategies, the reference test channels and the dense oracle POVM.
 
 Random density matrices are kept well away from rank loss: eigenvalues are
 drawn in [0.05, 1] before normalization, so the smallest one stays orders of
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pbtbounds.channels import KrausChannel
 from pbtbounds.linalg import DensityMatrix, _check_int, _check_interval
+from pbtbounds.pbt_oracle import _solve_sectors
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 _weight = st.floats(0.05, 1.0, allow_nan=False, allow_infinity=False)
@@ -69,3 +70,28 @@ def depolarizing(xi, d):
                 continue
             ops.append(sqrt(xi) / d * _weyl(d, a, b))
     return KrausChannel(tuple(ops), d, d)
+
+
+def oracle_blocks(M):
+    """(states, (M, n, n) stack of the Pi^i blocks) of every sector, formed from the solve.
+
+    Pi^i = 2^{-M} (S V_i)(S V_i)^T + K K^T / M on each solved sector; the flip
+    partner of sector k, M + 1 - k, holds the reversed blocks on the flipped states.
+    """
+    out = []
+    for k, (sector, _, pairs, S, K) in enumerate(_solve_sectors(M)):
+        SV = S[:, pairs].sum(axis=1).transpose(1, 0, 2)
+        P = SV @ SV.transpose(0, 2, 1) / 2**M + K @ K.T / M
+        out.append((sector, P))
+        if 2 * k != M + 1:  # at odd M the middle sector is its own partner
+            out.append((2 ** (M + 1) - 1 - sector[::-1], P[:, ::-1, ::-1]))
+    return out
+
+
+def oracle_povm(M):
+    """The POVM blocks embedded in a dense (M, 2^{M+1}, 2^{M+1}) stack."""
+    dim = 2 ** (M + 1)
+    povm = np.zeros((M, dim, dim))
+    for s, P in oracle_blocks(M):
+        povm[:, s[:, None], s] = P
+    return povm

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pbtbounds import cli, pbt
+from pbtbounds import cli, pbt, pbt_oracle
 from pbtbounds.cli import JSON_SCHEMA, OUT_DIR_ENV, main
 
 HEADERS = {
@@ -234,6 +234,14 @@ class TestExitCodes:
     def test_oracle_verify_passes(self, capsys):
         assert main(["oracle-verify", "--m-max", "3"]) == 0
         capsys.readouterr()
+
+    def test_oracle_verify_above_m_max_exits_one(self, monkeypatch, capsys):
+        # rejected before any sector is solved; M = 13 would need ~0.8 GB
+        monkeypatch.setattr(pbt_oracle, "_solve_sectors", lambda M: pytest.fail("solve reached"))
+        assert main(["oracle-verify", "--m-max", "13"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: M_max 13 outside [2, 12]\n"
 
     def test_oracle_mismatch_exits_two(self, monkeypatch, capsys):
         # the closed-form xi column shifted past the 1e-9 agreement bound

@@ -1,18 +1,19 @@
 """Brute-force protocol construction against the closed forms."""
 
-from dataclasses import replace
+import tracemalloc
 from math import comb, sqrt
 
 import numpy as np
 import pytest
 
+from conftest import oracle_blocks, oracle_povm
 from pbtbounds import cli, pbt_oracle
 from pbtbounds.pbt import pbt_choi_qubit, xi
 from pbtbounds.pbt_oracle import (
     M_MAX,
     _isotropic_fit,
     _sector_pairs,
-    build_ensemble,
+    _solve_sectors,
     oracle_channel_choi,
     oracle_xi,
 )
@@ -38,29 +39,19 @@ def _entangled_vector(M):
     return vec.reshape((2,) * n).transpose(perm).reshape(2**n)
 
 
-def _dense(ens):
-    """The ensemble's POVM blocks embedded in a dense (M, 2^{M+1}, 2^{M+1}) stack."""
-    dim = 2 ** (ens.M + 1)
-    povm = np.zeros((ens.M, dim, dim))
-    for s, P in zip(ens.sectors, ens.povm):
-        povm[:, s[:, None], s] = P
-    return povm
-
-
-def _port_outputs(ens):
+def _port_outputs(M):
     """Unnormalized Choi contribution of each outcome on (D, B_i).
 
     Measures [C, A] of the full pure state and keeps the reference D together
     with the selected port B_i, relabeled to the output slot.
     """
-    M = ens.M
     n = 2 * M + 2
     psi = _entangled_vector(M)
     dim_ca = 2 ** (M + 1)
     psi_mat = psi.reshape(dim_ca, dim_ca)  # rows (C,A); cols (D,B)
     psi_t = psi.reshape((2,) * n)
     taus = []
-    for i, P in enumerate(_dense(ens), start=1):
+    for i, P in enumerate(oracle_povm(M), start=1):
         measured = (P @ psi_mat).reshape((2,) * n)
         keep = [M + 1, M + 1 + i]  # D, B_i
         rest = [q for q in range(n) if q not in keep]
@@ -109,9 +100,9 @@ def _charge(M):
     return np.array([bin(x % 2**M).count("1") - x // 2**M for x in range(2 ** (M + 1))])
 
 
-# Every solve the build makes at an odd and an even M (at M = 3 the last one is
-# the middle sector, its own flip partner). Solve 0 is the one-state sector
-# C = 1, A = 0..0, where rho = 0: scaling its zero spectrum changes nothing.
+# Every solve at an odd and an even M (at M = 3 the last one is the middle
+# sector, its own flip partner). Solve 0 is the one-state sector C = 1,
+# A = 0..0, where rho = 0: scaling its zero spectrum changes nothing.
 _EIGH_FAULTS = [
     (fault, M, solve)
     for fault in ("scaled", "lifted", "nan")
@@ -124,45 +115,51 @@ _EIGH_FAULTS = [
 class TestEnsemble:
     def test_povm_completeness(self):
         for M in (2, 3, 4):
-            povm = _dense(build_ensemble(M))
+            povm = oracle_povm(M)
             assert np.abs(povm.sum(axis=0) - np.eye(2 ** (M + 1))).max() < 1e-10
 
     def test_outcome_probabilities_uniform(self):
         for M in (2, 3, 5):
-            ens = build_ensemble(M)
-            traces = sum(np.trace(P, axis1=1, axis2=2) for P in ens.povm)
+            traces = sum(np.trace(P, axis1=1, axis2=2) for _, P in oracle_blocks(M))
             for prob in traces / 2 ** (M + 1):
                 assert prob == pytest.approx(1.0 / M, abs=1e-10)
 
     def test_port_range(self):
-        with pytest.raises(ValueError):
-            build_ensemble(1)
-        with pytest.raises(ValueError):
-            build_ensemble(M_MAX + 1)
+        # checked before any array is formed: the solve is a generator, so the
+        # check fires on its first step
+        for M in (1, M_MAX + 1):
+            with pytest.raises(ValueError, match="port count"):
+                next(_solve_sectors(M))
+            with pytest.raises(ValueError, match="port count"):
+                oracle_channel_choi(M)
 
-    @pytest.mark.parametrize("M", range(2, M_MAX + 1))
+    @pytest.mark.parametrize("M", range(2, 9))
     def test_measurement_data_positive_semidefinite(self, M):
-        # the build checks only the sum; the ensemble is a fixed function
-        # of M, so positivity is pinned here once for every supported M, block
-        # by block (every POVM element vanishes off its sector blocks)
-        for stack in build_ensemble(M).povm:
+        # the solve checks only the sum; the POVM is a fixed function of M, so
+        # positivity is pinned here once per M, block by block (every POVM
+        # element vanishes off its sector blocks)
+        for _, stack in oracle_blocks(M):
             assert np.linalg.eigvalsh(stack).min() >= -1e-9
 
     @pytest.mark.parametrize("M", range(2, 8))
     def test_sector_build_matches_dense_reference(self, M):
         # sigma and rho feed both builds, so a fault in either shows up in Pi
-        ens = build_ensemble(M)
-        got, want = _dense(ens), _dense_ensemble(M)[2]
+        got, want = oracle_povm(M), _dense_ensemble(M)[2]
         assert got.shape == want.shape
-        assert all(P.dtype == np.float64 for P in ens.povm)
+        assert all(S.dtype == K.dtype == np.float64 for *_, S, K in _solve_sectors(M))
         assert np.abs(got - want).max() < 1e-12
 
-    def test_storage_is_per_sector(self):
-        # sum_q C(M+1, q+1)^2 = C(2M+2, M+1) entries per POVM element, for
-        # each of the M; dense storage would hold 4^{M+1} each
-        M = 8
-        floats = sum(P.size for P in build_ensemble(M).povm)
-        assert floats == M * comb(2 * M + 2, M + 1)
+    def test_readout_holds_one_sector_at_a_time(self):
+        # no POVM block is stored: at M = 8 the largest sector's S is 126 x 126
+        # (0.12 MiB), against 4.4 MiB peak for a build that kept every block
+        oracle_channel_choi(8)
+        tracemalloc.start()
+        try:
+            oracle_channel_choi(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
 
     @pytest.mark.parametrize("M", range(2, 7))
     def test_dense_reference_conserves_charge(self, M):
@@ -182,7 +179,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("M", range(2, 7))
     def test_dense_reference_is_flip_symmetric(self, M):
-        # the symmetry the mirrored build relies on, read off the build that
+        # the symmetry the mirrored readout relies on, read off the build that
         # does not assume it: X^{M+1} sends basis state x to 2^{M+1} - 1 - x,
         # so conjugating by it reverses both axes
         (sigmas, rho, povm), charge = _dense_ensemble(M), _charge(M)
@@ -191,47 +188,46 @@ class TestEnsemble:
         assert max(np.abs(P[::-1, ::-1] - P).max() for P in povm) <= 1e-14
         assert np.array_equal(charge[::-1], M - 1 - charge)  # sector q onto sector M - 1 - q
 
-    @pytest.mark.parametrize("M", range(2, M_MAX + 1))
+    @pytest.mark.parametrize("M", range(2, 11))
     def test_partner_sectors_are_mirrored_views(self, M):
-        # sector M + 1 - k is the flip of sector k: its blocks are reversed
-        # views of k's, and its mirrored labels and pairs equal a fresh count
-        ens = build_ensemble(M)
-        for k in range(M // 2 + 1):  # every k < M + 1 - k; at odd M the middle is its own partner
-            j = M + 1 - k
-            assert np.array_equal(ens.sectors[j], 2 ** (M + 1) - 1 - ens.sectors[k][::-1])
-            assert np.shares_memory(ens.povm[j], ens.povm[k])
-            assert np.array_equal(ens.povm[j], ens.povm[k][:, ::-1, ::-1])
-        for sector, labels, pairs in zip(ens.sectors, ens.labels, ens.pairs):
-            want_labels, want_pairs = _sector_pairs(sector, M)
-            assert np.array_equal(labels, want_labels)
-            assert np.array_equal(pairs, want_pairs)
+        # sector M + 1 - k is the flip of sector k: a fresh count of its labels
+        # and pairs gives k's reversed, with label l turned into 3 - l, which is
+        # what lets the readout add k's sums at flipped labels
+        charge = _charge(M)
+        for k, (sector, labels, pairs, S, _) in enumerate(_solve_sectors(M)):
+            partner = 2 ** (M + 1) - 1 - sector[::-1]
+            assert np.array_equal(partner, np.flatnonzero(charge == M - k))
+            partner_labels, partner_pairs = _sector_pairs(partner, M)
+            assert np.array_equal(partner_labels, 3 - labels[:, ::-1])
+            assert np.array_equal(partner_pairs, len(S) - 1 - pairs[::-1, :, ::-1])
 
-    @pytest.mark.parametrize("M", range(2, M_MAX + 1))
+    @pytest.mark.parametrize("M", range(2, 11))
     def test_one_eigensolve_per_flip_pair(self, monkeypatch, M):
-        # ceil((M + 2) / 2) solves, on sectors 0.. in order
+        # ceil((M + 2) / 2) solves, on sectors 0.. in order, and none in the readout
         eigh, solved = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape[0]) or eigh(a))
-        build_ensemble(M)
+        oracle_channel_choi(M)
         assert solved == [comb(M + 1, k) for k in range((M + 3) // 2)]
 
-    @pytest.mark.parametrize("M", range(2, M_MAX + 1))
+    @pytest.mark.parametrize("M", range(2, 11))
     def test_layout_fixed_by_port_count(self, M):
-        # the build checks only the identity sum; the layout it returns is a
-        # function of M, pinned here once for every supported M
-        ens = build_ensemble(M)
-        assert ens.M == M
-        assert np.array_equal(np.sort(np.concatenate(ens.sectors)), np.arange(2 ** (M + 1)))
-        charge = _charge(M)
-        for k, sector in enumerate(ens.sectors):
+        # the solve checks only the identity sum; the layout it yields is a
+        # function of M, pinned here once per M
+        charge, seen = _charge(M), []
+        for k, (sector, labels, pairs, S, K) in enumerate(_solve_sectors(M)):
+            n = sector.size
             assert np.all(np.diff(sector) > 0)
             assert np.all(charge[sector] == k - 1)
-        assert [P.shape for P in ens.povm] == [(M, s.size, s.size) for s in ens.sectors]
+            assert labels.shape == (M, n) and pairs.shape[:2] == (2, M)
+            assert S.shape == (n, n) and K.shape == (n, 1)  # one zero eigenvalue per sector
+            seen += [sector, 2 ** (M + 1) - 1 - sector]
+        assert np.array_equal(np.unique(np.concatenate(seen)), np.arange(2 ** (M + 1)))
 
     @pytest.mark.parametrize(("fault", "M", "solve"), _EIGH_FAULTS)
     def test_build_checks_identity_on_every_block(self, monkeypatch, fault, M, solve):
         # a fault in one eigensolve alone (its eigenvalues scaled, or lifted so
         # that the zero one joins the support, or NaN eigenvectors) must stop
-        # the build, whichever solve it hits
+        # the readout, whichever solve it hits
         eigh, solved = np.linalg.eigh, []
 
         def faulty(a):
@@ -247,13 +243,17 @@ class TestEnsemble:
 
         monkeypatch.setattr(np.linalg, "eigh", faulty)
         with pytest.raises(ValueError, match="identity"):
-            build_ensemble(M)
+            oracle_channel_choi(M)
 
 
 class TestChoiExtraction:
     def test_oracle_matches_closed_form(self):
         for M in range(2, 7):
             assert oracle_xi(M) == pytest.approx(xi(M), abs=1e-10)
+
+    @pytest.mark.parametrize("M", [9, 10])
+    def test_oracle_matches_closed_form_past_the_dense_range(self, M):
+        assert oracle_xi(M) == pytest.approx(xi(M), abs=1e-10)
 
     def test_xi_is_isotropic_fit_of_choi(self):
         for M in range(2, 6):
@@ -266,7 +266,7 @@ class TestChoiExtraction:
 
     def test_port_symmetry(self):
         for M in (2, 3, 4):
-            taus = _port_outputs(build_ensemble(M))
+            taus = _port_outputs(M)
             worst = max(np.abs(taus[0] - t).max() for t in taus[1:])
             assert worst < 1e-12
 
@@ -274,12 +274,12 @@ class TestChoiExtraction:
     def test_explicit_route_matches_library(self, M):
         # measurement on the full resource state vs the library's partial
         # trace of the transposed POVM: independent code paths
-        explicit = sum(_port_outputs(build_ensemble(M)))
+        explicit = sum(_port_outputs(M))
         assert np.abs(explicit - oracle_channel_choi(M).matrix).max() < 1e-12
 
     @pytest.mark.parametrize("M", [3, 8])
     def test_readout_takes_labels_and_pairs_from_the_build(self, monkeypatch, M):
-        # the build counts the pairs of its solved sectors only; the readout
+        # the solve counts the pairs of its solved sectors only; the readout
         # counts none of its own
         sector_pairs, counted = pbt_oracle._sector_pairs, []
         monkeypatch.setattr(
@@ -289,14 +289,18 @@ class TestChoiExtraction:
         assert len(counted) == (M + 3) // 2
 
     def test_anisotropic_choi_rejected(self, monkeypatch):
-        # the diagonal of the C = 1 states raised in one sector: the read-off
-        # Choi matrix leaves the isotropic form
-        ens = build_ensemble(3)
-        raised = ens.povm[2].copy()
-        c1 = np.flatnonzero(ens.sectors[2] >> 3)
-        raised[:, c1, c1] += 1e-3
-        broken = replace(ens, povm=(*ens.povm[:2], raised, *ens.povm[3:]))
-        monkeypatch.setattr(pbt_oracle, "build_ensemble", lambda M: broken)
+        # one solve's kernel basis gains a column on its C = 1 states, which
+        # raises the diagonal of those states in every Pi^i of that sector:
+        # the read-off Choi matrix leaves the isotropic form
+        solve = pbt_oracle._solve_sectors
+
+        def perturbed(M):
+            for k, (sector, labels, pairs, S, K) in enumerate(solve(M)):
+                if k == 2:
+                    K = np.hstack([K, 0.03 * (sector[:, None] >> M)])
+                yield sector, labels, pairs, S, K
+
+        monkeypatch.setattr(pbt_oracle, "_solve_sectors", perturbed)
         with pytest.raises(RuntimeError, match="not isotropic"):
             oracle_channel_choi(3)
 
@@ -305,13 +309,14 @@ class TestChoiExtraction:
 
 
 def test_oracle_verify_builds_one_ensemble_per_port_count(monkeypatch, capsys):
-    built = []
+    solved = []
+    solve = pbt_oracle._solve_sectors
 
-    def counting_build(M):
-        built.append(M)
-        return build_ensemble(M)
+    def counting_solve(M):
+        solved.append(M)
+        return solve(M)
 
-    monkeypatch.setattr(pbt_oracle, "build_ensemble", counting_build)
+    monkeypatch.setattr(pbt_oracle, "_solve_sectors", counting_solve)
     assert cli.main(["oracle-verify", "--m-max", "6"]) == 0
     capsys.readouterr()
-    assert built == [2, 3, 4, 5, 6]
+    assert solved == [2, 3, 4, 5, 6]
