@@ -8,12 +8,12 @@ sector, in real arithmetic, one sector at a time: _solve_sectors yields each
 solved sector's rho^{-1/2} and kernel basis, checks that the POVM they define
 resolves the identity, and keeps nothing. The global bit flip X^{M+1} fixes
 every port state and pairs sector q with sector M - 1 - q, so ceil((M+2)/2)
-sectors are solved. The Choi readout needs two numbers per port and state, the
-diagonal of Pi^i and its entries on port i's pairs, and forms them straight
-from the solve, a bounded chunk of ports at a time, so no POVM block is ever
-formed; a flip partner adds the same numbers at flipped labels. The tests
-form the dense blocks from the same solve and keep the dense full-space build
-and the explicit full-state route as references.
+sectors are solved. Relabelling the ports maps sigma^i to sigma^{pi(i)} and
+fixes rho, so every outcome adds the same Choi block: the readout takes port
+1's diagonal of Pi^1 and its entries on port 1's pairs straight from the
+solve, forms no POVM block, and counts them M times; a flip partner adds the
+same numbers at flipped labels. The tests form every port's dense blocks from
+the same solve and keep the dense build and the explicit full-state route.
 
 Qubit ordering: measured registers [C, A_1..A_M] (dimension 2^{M+1}); D is the
 reference purifying C and B_i the receiver half of port i.
@@ -30,7 +30,7 @@ from .linalg import Array, DensityMatrix, _check_int
 from .pbt import _depolarizing_choi_matrix  # a function of x only; xi_M is never read
 
 # At M = 12: seven sector eigensolves (1716 dims at most); oracle_channel_choi(12) takes
-# 3.1-3.5 s on one core and peaks at ~215 MB RSS in a fresh process, since only one sector's
+# 3.0-3.5 s on one core and peaks at ~202 MB RSS in a fresh process, since only one sector's
 # rho, eigenvectors and S (23.6 MB each at 1716 dims) and the identity check's products live at once.
 M_MAX = 12
 # Residual allowed between the computed Choi matrix and its isotropic fit.
@@ -100,34 +100,31 @@ def oracle_channel_choi(M: int) -> ChoiMatrix:
     keeps (D, B_i) on outcome i. Moving the POVM element across the maximally
     entangled pairs, (X tensor I)|Phi> = (I tensor X^T)|Phi>, turns that
     outcome's contribution into 2^{-(M+1)} Tr_rest[(Pi^i)^T] on (C -> reference,
-    A_i -> output). Pi^i conserves the charge, so that trace keeps only the
-    diagonal, binned by 2C + A_i, and the |00><11| entry, the sum of
-    Pi^i[x0, x1] over port i's pairs; every other entry is exactly zero. Per
-    solved sector and port, with SV = S V_i,
-    diag Pi^i = rowsum(SV^2) / 2^M + rowsum(K^2) / M and
-    Pi^i[x0, x1] = <SV[x0], SV[x1]> / 2^M + <K[x0], K[x1]> / M.
-    The flip partner of a solved sector holds Pi^i reversed, with labels
-    3 - l: the same diagonal sums at flipped labels and the same pair entries.
-    The sum over outcomes is verified (rather than assumed) to fit the
-    isotropic form within TOL_ISO.
+    A_i -> output). Permuting the ports keeps the charge, maps sigma^i to
+    sigma^{pi(i)} and fixes rho, so it maps Pi^i to Pi^{pi(i)} on each sector:
+    every outcome adds port 1's block, which is read once and counted M times.
+    Pi^1 conserves the charge, so its trace keeps only the diagonal, binned by
+    2C + A_1, and the |00><11| entry, the sum of Pi^1[x0, x1] over port 1's
+    pairs; every other entry is exactly zero. Per solved sector, with
+    SV = S V_1, diag Pi^1 = rowsum(SV^2) / 2^M + rowsum(K^2) / M and
+    Pi^1[x0, x1] = <SV[x0], SV[x1]> / 2^M + <K[x0], K[x1]> / M.
+    A flip partner holds Pi^1 reversed, with labels 3 - l: the same diagonal
+    sums at flipped labels and the same pair entries. The sum is verified
+    (rather than assumed) to fit the isotropic form within TOL_ISO.
     """
     diagonals, corners = [], []
     for k, (_, labels, pairs, S, K) in enumerate(_solve_sectors(M)):
         paired = 2 * k != M + 1  # at odd M the middle sector is its own partner
-        kernel = (K**2).sum(axis=1) / M
-        step = max(1, 2**20 // (len(S) * pairs.shape[2] + 1))  # ports per gather: SV within 8 MiB
-        for lo in range(0, M, step):
-            x0, x1 = pairs[:, lo : lo + step]
-            port = np.arange(len(x0))[:, None]
-            SV = S[:, x0] + S[:, x1]  # (n, ports, p)
-            diagonal = (SV**2).sum(axis=2).T / 2**M + kernel
-            bins = (np.equal.outer(range(4), labels[lo : lo + step]) * diagonal).sum(axis=(1, 2))
-            corner = (SV[x0, port] * SV[x1, port]).sum() / 2**M + (K[x0] * K[x1]).sum() / M
-            diagonals.append(bins + bins[::-1] if paired else bins)
-            corners.append(2 * corner if paired else corner)
+        x0, x1 = pairs[:, 0]  # port 1
+        SV = S[:, x0] + S[:, x1]
+        diagonal = (SV**2).sum(axis=1) / 2**M + (K**2).sum(axis=1) / M
+        bins = np.bincount(labels[0], diagonal, minlength=4)
+        corner = (SV[x0] * SV[x1]).sum() / 2**M + (K[x0] * K[x1]).sum() / M
+        diagonals.append(bins + bins[::-1] if paired else bins)
+        corners.append(2 * corner if paired else corner)
     total = np.diag(np.sum(diagonals, axis=0))
     total[0, 3] = total[3, 0] = np.sum(corners)
-    total /= 2 ** (M + 1)
+    total *= M / 2 ** (M + 1)  # M outcomes, each adding port 1's block
     if np.abs(total - _depolarizing_choi_matrix(_isotropic_fit(total))).max() > TOL_ISO:
         raise RuntimeError(f"oracle Choi for M={M} is not isotropic")
     return ChoiMatrix(DensityMatrix(total, (2, 2)))

@@ -223,6 +223,20 @@ class TestEnsemble:
             seen += [sector, 2 ** (M + 1) - 1 - sector]
         assert np.array_equal(np.unique(np.concatenate(seen)), np.arange(2 ** (M + 1)))
 
+    @pytest.mark.parametrize("M", range(2, 11))
+    def test_every_port_reads_like_port_one(self, M):
+        # the readout reads port 1 of each solved sector and counts it M times;
+        # here every port's diagonal bins and corner are read off its dense block
+        for _, labels, pairs, S, K in _solve_sectors(M):
+            read = []
+            for i in range(M):
+                x0, x1 = pairs[:, i]
+                SV = S[:, x0] + S[:, x1]
+                P = SV @ SV.T / 2**M + K @ K.T / M
+                bins = [np.diag(P)[labels[i] == label].sum() for label in range(4)]
+                read.append([*bins, P[x0, x1].sum()])
+            assert np.abs(np.array(read) - read[0]).max() < 1e-12
+
     @pytest.mark.parametrize(("fault", "M", "solve"), _EIGH_FAULTS)
     def test_build_checks_identity_on_every_block(self, monkeypatch, fault, M, solve):
         # a fault in one eigensolve alone (its eigenvalues scaled, or lifted so
@@ -265,7 +279,8 @@ class TestChoiExtraction:
             assert residual < 1e-9
 
     def test_port_symmetry(self):
-        for M in (2, 3, 4):
+        # every outcome adds the same block, which lets the readout read port 1 alone
+        for M in range(2, 8):
             taus = _port_outputs(M)
             worst = max(np.abs(taus[0] - t).max() for t in taus[1:])
             assert worst < 1e-12
