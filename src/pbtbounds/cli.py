@@ -5,6 +5,10 @@ order, and emits CSV (default) or schema-versioned JSON. All quantities are
 closed forms or eigensolves, so output is deterministic; regime violations
 surface as warning columns rather than refusals.
 
+Every subcommand is declared once in ``_COMMANDS``: help line, table function
+and arguments. A call registers every name, so ``--help`` and the choice check
+see them all, but only the subcommand being run gets an argparse parser.
+
 Exit codes: 0 success, 1 validation failure (argument parse errors included;
 argparse's usage message still goes to stderr), 2 oracle mismatch, 3 I/O
 failure.
@@ -16,7 +20,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from .linalg import _check_int, _check_interval, fidelity
 
 OUT_DIR_ENV = "PBTBOUNDS_OUT_DIR"
 JSON_SCHEMA = "pbtbounds-table/1"
+_DESCRIPTION = "Tables of adaptive discrimination bounds via teleportation simulation"
 # Most rows xi-table prints (rows M = 2..100001 take about 37 s on a 2-vCPU
 # host); a range inside [2, pbt._MAX_PORTS] could otherwise ask for 10**10.
 _MAX_ROWS = 10**5
@@ -187,67 +194,95 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+class _Command(NamedTuple):
+    help: str
+    table: Callable[[argparse.Namespace], list[dict]]
+    arguments: tuple[tuple[str, dict], ...]  # (flag, add_argument keywords)
+
+
+_OPTIONS = (
+    ("--out", dict(help=f"output file (relative paths resolve under ${OUT_DIR_ENV})")),
+    ("--format", dict(choices=("csv", "json"), default="csv")),
+    ("--precision", dict(type=int, default=12)),
+)
+
+_COMMANDS = {
+    "xi-table": _Command("closed-form PBT quantities per port count", cmd_xi_table, (
+        ("--m-min", dict(type=int, default=2)),
+        ("--m-max", dict(type=int, default=10)),
+    )),
+    "oracle-verify": _Command("brute-force oracle vs closed form", cmd_oracle_verify, (
+        ("--m-max", dict(type=int, default=6)),
+    )),
+    "ad-sweep": _Command("amplitude damping discrimination bounds", cmd_ad_sweep, (
+        ("--p-min", dict(type=float, default=0.8)),
+        ("--p-max", dict(type=float, default=0.98)),
+        ("--steps", dict(type=int, default=10)),
+        ("--dp", dict(type=float, default=0.01)),
+        ("--n", dict(type=int, default=20)),
+        ("--m-list", dict(type=_int_list, default=[10, 100, 1000])),
+    )),
+    "resolution": _Command("single-photon resolution bounds", cmd_resolution, (
+        ("--eta", dict(type=float, default=0.01)),
+        ("--s-min", dict(type=float, default=0.0)),
+        ("--s-max", dict(type=float, default=1.0)),
+        ("--steps", dict(type=int, default=11)),
+        ("--n", dict(type=int, default=10)),
+    )),
+    "illumination": _Command("quantum illumination bounds", cmd_illumination, (
+        ("--d", dict(type=int, default=2)),
+        ("--b", dict(type=float, default=1e-3)),
+        ("--eta-min", dict(type=float, default=1e-4)),
+        ("--eta-max", dict(type=float, default=1e-2)),
+        ("--steps", dict(type=int, default=10)),
+        ("--n", dict(type=int, default=10)),
+    )),
+    "metrology": _Command("amplitude damping estimation bounds", cmd_metrology, (
+        ("--p-min", dict(type=float, default=0.2)),
+        ("--p-max", dict(type=float, default=0.8)),
+        ("--steps", dict(type=int, default=7)),
+        ("--n", dict(type=int, default=10)),
+        ("--dtheta", dict(type=float, default=1e-3)),
+    )),
+    "keyrate": _Command("secret-key-rate upper bounds", cmd_keyrate, (
+        ("--d", dict(type=int, default=2)),
+        ("--e-r-list", dict(type=_float_list, default=[1e-4, 1e-3, 1e-2])),
+        ("--n", dict(type=int, default=100)),
+        ("--epsilon", dict(type=float, default=0.0)),
+        ("--measure", dict(choices=("REE", "SE"), default="REE")),
+        ("--c", dict(type=float, default=1.0)),
+    )),
+}
+
+
+def _with_arguments(parser: argparse.ArgumentParser, arguments: tuple) -> argparse.ArgumentParser:
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+class _DeferredParser:
+    """A subcommand's parser, built only when argparse hands it that subcommand's arguments.
+
+    ``parse_known_args`` is the one call argparse's subparsers action makes on
+    a subparser; the name, help line and choice check live on the action.
+    """
+
+    def __init__(self, arguments: tuple, **keywords):  # keywords: prog, from add_parser
+        self._arguments = arguments
+        self._keywords = keywords
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _with_arguments(argparse.ArgumentParser(**self._keywords), self._arguments)
+        return parser.parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pbtbounds",
-        description="Tables of adaptive discrimination bounds via teleportation simulation",
-    )
-    parser.add_argument("--out", help=f"output file (relative paths resolve under ${OUT_DIR_ENV})")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--precision", type=int, default=12)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("xi-table", help="closed-form PBT quantities per port count")
-    p.add_argument("--m-min", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=10)
-    p.set_defaults(table=cmd_xi_table)
-
-    p = sub.add_parser("oracle-verify", help="brute-force oracle vs closed form")
-    p.add_argument("--m-max", type=int, default=6)
-    p.set_defaults(table=cmd_oracle_verify)
-
-    p = sub.add_parser("ad-sweep", help="amplitude damping discrimination bounds")
-    p.add_argument("--p-min", type=float, default=0.8)
-    p.add_argument("--p-max", type=float, default=0.98)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--dp", type=float, default=0.01)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--m-list", type=_int_list, default=[10, 100, 1000])
-    p.set_defaults(table=cmd_ad_sweep)
-
-    p = sub.add_parser("resolution", help="single-photon resolution bounds")
-    p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--s-min", type=float, default=0.0)
-    p.add_argument("--s-max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=11)
-    p.add_argument("--n", type=int, default=10)
-    p.set_defaults(table=cmd_resolution)
-
-    p = sub.add_parser("illumination", help="quantum illumination bounds")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--b", type=float, default=1e-3)
-    p.add_argument("--eta-min", type=float, default=1e-4)
-    p.add_argument("--eta-max", type=float, default=1e-2)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--n", type=int, default=10)
-    p.set_defaults(table=cmd_illumination)
-
-    p = sub.add_parser("metrology", help="amplitude damping estimation bounds")
-    p.add_argument("--p-min", type=float, default=0.2)
-    p.add_argument("--p-max", type=float, default=0.8)
-    p.add_argument("--steps", type=int, default=7)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--dtheta", type=float, default=1e-3)
-    p.set_defaults(table=cmd_metrology)
-
-    p = sub.add_parser("keyrate", help="secret-key-rate upper bounds")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--e-r-list", type=_float_list, default=[1e-4, 1e-3, 1e-2])
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--measure", choices=("REE", "SE"), default="REE")
-    p.add_argument("--c", type=float, default=1.0)
-    p.set_defaults(table=cmd_keyrate)
+    parser = argparse.ArgumentParser(prog="pbtbounds", description=_DESCRIPTION)
+    _with_arguments(parser, _OPTIONS)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
+    for name, command in _COMMANDS.items():
+        sub.add_parser(name, help=command.help, arguments=command.arguments)
     return parser
 
 
@@ -265,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 1 <= args.precision <= 17:
             raise ValueError(f"precision {args.precision} outside [1, 17]")
-        rows = args.table(args)
+        rows = _COMMANDS[args.command].table(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

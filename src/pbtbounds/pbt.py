@@ -18,6 +18,7 @@ any grid, stored or recomputed after the store was emptied.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 from math import ceil, inf, sqrt
 
 import numpy as np
@@ -112,7 +113,7 @@ def _series(Ms: Sequence[int]) -> Array:
     if len(_store) + len(new) > _STORE_SIZE:
         _store.clear()
     _store.update((M, pairs[M]) for M in new[:_STORE_SIZE])
-    return np.array([pairs[M] for M in Ms]).reshape(-1, 2).T
+    return np.fromiter(chain.from_iterable(pairs[M] for M in Ms), float, 2 * len(Ms)).reshape(-1, 2).T
 
 
 def xi(M: int) -> float:

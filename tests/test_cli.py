@@ -1,5 +1,6 @@
 """End-to-end CLI checks: headers, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -33,6 +34,17 @@ FAST_ARGS = {
     "metrology": ["metrology", "--steps", "3"],
     "keyrate": ["keyrate"],
 }
+
+
+# argv that argparse rejects: main exits 1 with the usage message on stderr
+PARSE_ERROR_ARGV = [
+    ["ad-sweep", "--m-list", "a"],
+    ["xi-table", "--m-max", "x"],
+    ["keyrate", "--measure", "XX"],
+    ["--format", "yaml", "xi-table"],
+    ["no-such-command"],
+    [],
+]
 
 
 def _run(argv, capsys) -> tuple[int, str]:
@@ -212,24 +224,18 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["ad-sweep", "--m-list", "a"],
-            ["xi-table", "--m-max", "x"],
-            ["keyrate", "--measure", "XX"],
-            ["--format", "yaml", "xi-table"],
-            ["no-such-command"],
-            [],
-        ],
-    )
+    @pytest.mark.parametrize("argv", PARSE_ERROR_ARGV)
     def test_parse_error_exits_one(self, argv, capsys):
         assert main(argv) == 1
         assert "usage:" in capsys.readouterr().err
 
-    def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
-        assert "usage:" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", [None, *HEADERS], ids=lambda c: c or "top-level")
+    def test_help_exits_zero(self, command, capsys):
+        # a subcommand's help comes from the parser built only for that subcommand
+        argv = ["--help"] if command is None else [command, "--help"]
+        assert main(argv) == 0
+        usage = "usage: pbtbounds" if command is None else f"usage: pbtbounds {command} "
+        assert capsys.readouterr().out.startswith(usage)
 
     def test_oracle_verify_passes(self, capsys):
         assert main(["oracle-verify", "--m-max", "3"]) == 0
@@ -254,6 +260,49 @@ class TestExitCodes:
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]
         assert all(float(line.split(",")[3]) > 1e-9 for line in lines[1:])
         assert captured.err.splitlines() == ["error: oracle disagrees with the closed form"]
+
+
+def _eager_parser() -> argparse.ArgumentParser:
+    """The same command table with plain subparsers and every argument added up front."""
+    parser = argparse.ArgumentParser(prog="pbtbounds", description=cli._DESCRIPTION)
+    cli._with_arguments(parser, cli._OPTIONS)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli._COMMANDS.items():
+        cli._with_arguments(sub.add_parser(name, help=command.help), command.arguments)
+    return parser
+
+
+class TestDeferredParser:
+    """Only the subcommand being run gets a parser, and no call can tell."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([name, "--help"] for name in HEADERS),
+            *PARSE_ERROR_ARGV,
+            ["--prec", "5", "xi-table", "--m-ma", "3"],  # abbreviated options
+            ["--prec", "5", "xi-table", "--m-m", "3"],  # an ambiguous abbreviation
+            ["xi-table", "--precision", "5"],  # a global option after the subcommand
+        ],
+        ids=lambda argv: " ".join(argv) or "no-argv",
+    )
+    def test_matches_an_eager_parser(self, argv, capsys, monkeypatch):
+        deferred = main(argv), capsys.readouterr()
+        monkeypatch.setattr(cli, "_build_parser", _eager_parser)
+        assert (main(argv), capsys.readouterr()) == deferred
+
+    def test_main_builds_two_parsers(self, capsys, monkeypatch):
+        progs, init = [], argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        assert main(["keyrate"]) == 0
+        capsys.readouterr()
+        assert progs == ["pbtbounds", "pbtbounds keyrate"]
 
 
 class TestProcessExitCodes:
