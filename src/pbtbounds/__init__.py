@@ -33,7 +33,6 @@ from .discrimination import (
 from .linalg import DensityMatrix, fidelity, psd_sqrt
 from .pbt import (
     delta_ad,
-    delta_exact_qubit,
     delta_upper,
     diamond_via_choi_scalar_check,
     entanglement_fidelity_qubit,

@@ -27,8 +27,8 @@ def resolution_chois(eta: float, s: float) -> tuple[DensityMatrix, DensityMatrix
     where 1+/1- are the symmetric/antisymmetric single-photon modes. Each
     state mixes the surviving branch |Psi+-> with the photon-loss branch.
     """
-    _check_interval(eta, "loss parameter", 0, 1, lo_open=True)
-    _check_interval(s, "separation", 0, inf)
+    eta = _check_interval(eta, "loss parameter", 0, 1, lo_open=True)
+    s = _check_interval(s, "separation", 0, inf)
     delta = exp(-s * s / 8.0)
     eta_p = (1.0 + delta) * eta / 2.0
     eta_m = (1.0 - delta) * eta / 2.0
@@ -49,8 +49,8 @@ def resolution_chois(eta: float, s: float) -> tuple[DensityMatrix, DensityMatrix
 
 def resolution_fidelity(eta: float, s: float) -> float:
     """Closed-form Choi fidelity 1 - eta (1 - exp(-s^2/8)) / 2."""
-    _check_interval(eta, "loss parameter", 0, 1, lo_open=True)
-    _check_interval(s, "separation", 0, inf)
+    eta = _check_interval(eta, "loss parameter", 0, 1, lo_open=True)
+    s = _check_interval(s, "separation", 0, inf)
     return 1.0 - eta * (1.0 - exp(-s * s / 8.0)) / 2.0
 
 
@@ -63,9 +63,9 @@ def resolution_bound(n: int, eta: float, s: float) -> BoundReport:
     exp(-8 n sqrt(eps)) / 4 ('exact_value', always >= the small-s form) and
     the linear form, plus a regime flag for eps_small = eta s^2/16 <= 0.01.
     """
-    _check_int(n, "count n =", 1)
-    _check_interval(eta, "loss parameter", 0, 1, lo_open=True)
-    _check_interval(s, "separation", 0, inf)
+    n = _check_int(n, "count n =", 1)
+    eta = _check_interval(eta, "loss parameter", 0, 1, lo_open=True)
+    s = _check_interval(s, "separation", 0, inf)
     raw = exp(-2.0 * n * s * sqrt(eta)) / 4.0
     eps = eta * (1.0 - exp(-s * s / 8.0)) / 2.0
     near = bound_B_near_identity(n, 2, eps)
@@ -91,10 +91,11 @@ def illumination_chois(d: int, eta: float, b: float) -> tuple[DensityMatrix, Den
     mixed idler. Present: reflectivity-eta mixture with the maximally
     entangled single-photon state over d+1 levels.
     """
-    _check_int(d, "mode count", 1)
-    _check_interval(eta, "reflectivity", 0, 1)
+    d = _check_int(d, "mode count", 1)
+    eta = _check_interval(eta, "reflectivity", 0, 1)
+    b = _check_interval(b, "thermal occupation b", 0, 1, hi_open=True)
     _check_interval(d * b, "thermal occupation d*b =", 0, 1, hi_open=True)
-    D = int(d) + 1
+    D = d + 1
     thermal = np.diag([1.0 - d * b] + [b] * d).astype(complex)
     sigma = np.kron(thermal, np.eye(D) / D)
     psi = np.eye(D, dtype=complex).reshape(D * D) / sqrt(D)
@@ -128,8 +129,9 @@ def illumination_fidelity_exact(d: int, eta: float, b: float, method: str = "str
     'generic' diagonalizes the (d+1)^2-dim pair; psd_sqrt zeroes sigma's
     eigenvalues b/(d+1) below TOL_PSD, which puts it up to 8e-6 off at b = 1e-9.
     """
-    _check_int(d, "mode count", 1)
-    _check_interval(eta, "reflectivity", 0, 1)
+    d = _check_int(d, "mode count", 1)
+    eta = _check_interval(eta, "reflectivity", 0, 1)
+    b = _check_interval(b, "thermal occupation b", 0, 1, hi_open=True)
     _check_interval(d * b, "thermal occupation d*b =", 0, 1, hi_open=True)
     if method not in ("structured", "generic"):
         raise ValueError(f"unknown method {method!r}")
@@ -148,8 +150,9 @@ def illumination_fidelity_approx(d: int, eta: float, b: float) -> float:
     second order, and F = 1 exactly at eta = 0, where rho = sigma. The form
     with sqrt(eta d b) agrees with this one only when b << eta d.
     """
-    _check_int(d, "mode count", 1)
-    _check_interval(eta, "reflectivity", 0, 1)
+    d = _check_int(d, "mode count", 1)
+    eta = _check_interval(eta, "reflectivity", 0, 1)
+    b = _check_interval(b, "thermal occupation b", 0, 1, hi_open=True)
     _check_interval(d * b, "thermal occupation d*b =", 0, 1, hi_open=True)
     return 1.0 - (eta * d + 2.0 * b - 2.0 * sqrt(b * b + eta * d * b)) / (2.0 * (d + 1))
 
@@ -166,9 +169,9 @@ def illumination_bound(n: int, d: int, eta: float) -> BoundReport:
     separable-probe reference error exp(-n eta / (8d)) / 2, which upper-bounds
     what unentangled probes achieve.
     """
-    _check_int(n, "count n =", 1)
-    _check_int(d, "mode count", 1)
-    _check_interval(eta, "reflectivity", 0, 1)
+    n = _check_int(n, "count n =", 1)
+    d = _check_int(d, "mode count", 1)
+    eta = _check_interval(eta, "reflectivity", 0, 1)
     raw = exp(-4.0 * n * d * sqrt(eta)) / 4.0
     separable = exp(-n * eta / (8.0 * d)) / 2.0
     params = {"n": n, "d": d, "eta": eta, "separable_upper": separable}
@@ -215,14 +218,17 @@ def qfi_choi(
     the four points theta -/+ h / 2 and the four states go through one
     fidelity call. theta may also be a 1-D array: choi_at then receives arrays
     of points and returns stacks, and the result is a list with one estimate
-    per entry, each equal to the float-theta estimate.
+    per entry, each equal to the float-theta estimate. Every theta must be finite.
     """
-    _check_interval(dtheta, "step", 0, inf, lo_open=True, hi_open=True)
+    dtheta = _check_interval(dtheta, "step", 0, inf, lo_open=True, hi_open=True)
     if (dtheta / 2.0) ** 2 == 0.0:
         raise ValueError(f"step {dtheta} is so small that (step/2)^2 underflows to 0")
-    theta = np.asarray(theta, dtype=float)  # a list works as the 1-D form
+    theta = np.asarray(theta)  # a list works as the 1-D form; the check makes each point a float
     if theta.ndim > 1:
         raise ValueError(f"theta must be a float or a 1-D array, got {theta.ndim} dimensions")
+    finite = [_check_interval(t, "theta", -inf, inf, lo_open=True, hi_open=True)
+              for t in theta.ravel().tolist()]
+    theta = np.array(finite).reshape(theta.shape)
     fine = dtheta / 2.0
     points = (theta - dtheta / 2.0, theta + dtheta / 2.0, theta - fine / 2.0, theta + fine / 2.0)
     states = np.stack([_as_matrix(choi_at(t)) for t in points], axis=-3)
@@ -242,8 +248,8 @@ class MetrologyBound:
 
 def metrology_bound(n: int, qfi_choi_value: float) -> MetrologyBound:
     """QFI after n adaptive uses is at most n^2 times the Choi QFI."""
-    _check_int(n, "count n =", 1)
-    _check_interval(qfi_choi_value, "QFI", 0, inf, hi_open=True)
+    n = _check_int(n, "count n =", 1)
+    qfi_choi_value = _check_interval(qfi_choi_value, "QFI", 0, inf, hi_open=True)
     ceiling = n * n * qfi_choi_value
     return MetrologyBound(ceiling, 1.0 / ceiling if ceiling > 0.0 else inf)
 
@@ -270,20 +276,21 @@ class KeyRateParams:
     c: float = 1.0
 
     def __post_init__(self):
-        _check_int(self.d, "dimension", 2)
-        _check_interval(self.e_r, "entanglement value e_r =", 0, log2(self.d))
+        keep = partial(object.__setattr__, self)  # the frozen record holds each checked value
+        keep("d", _check_int(self.d, "dimension", 2))
+        keep("e_r", _check_interval(self.e_r, "entanglement value e_r =", 0, log2(self.d)))
         if self.measure not in ("REE", "SE"):
             raise ValueError(f"unknown entanglement measure {self.measure!r}")
-        _check_int(self.n, "count n =", 1)
-        _check_interval(self.epsilon, "security parameter", 0, 1, hi_open=True)
-        _check_interval(self.c, "dimension constant", 0, inf, lo_open=True, hi_open=True)
+        keep("n", _check_int(self.n, "count n =", 1))
+        keep("epsilon", _check_interval(self.epsilon, "security parameter", 0, 1, hi_open=True))
+        keep("c", _check_interval(self.c, "dimension constant", 0, inf, lo_open=True, hi_open=True))
 
 
 def binary_entropy(x: float) -> float:
     """H2(x) in bits, 0 at the endpoints; within 3e-16 relative of 60-digit mpmath
     on (0, 1), down to x = 1e-300, as log1p(-x) keeps 1 - x from rounding to 1.
     """
-    _check_interval(x, "entropy argument", 0, 1)
+    x = _check_interval(x, "entropy argument", 0, 1)
     if x in (0.0, 1.0):
         return 0.0
     return -x * log2(x) - (1.0 - x) * log1p(-x) / log(2.0)
@@ -297,8 +304,8 @@ def key_rate_bound_finite(params: KeyRateParams, M: int, delta: float) -> BoundR
     bound is undefined, reported as value inf, valid False. params carry M,
     delta, gamma and measure; M is an integer port count >= 2, delta in [0, 2].
     """
-    _check_int(M, "port count", 2)
-    _check_interval(delta, "simulation error", 0, 2)
+    M = _check_int(M, "port count", 2)
+    delta = _check_interval(delta, "simulation error", 0, 2)
     gamma = params.n * delta + params.epsilon
     report = {"M": M, "delta": delta, "gamma": gamma, "measure": params.measure}
     root = sqrt(gamma)
@@ -315,10 +322,11 @@ def key_rate_bound_asymptotic(d: int, e_r: float, M: float) -> float:
     f(eps) = (1+eps) log1p(eps)/ln 2 - eps log2 eps, within 1e-15 relative of
     40-digit mpmath for e_r >= 1e-12. M may be fractional, so m_tilde can be evaluated directly.
     """
-    _check_int(d, "dimension", 2)
-    _check_interval(e_r, "entanglement value e_r =", 0, log2(d))
-    _check_interval(M, "port count", 2, inf, hi_open=True)
-    eps = d * (d - 1) / M
+    d = _check_int(d, "dimension", 2)
+    e_r = _check_interval(e_r, "entanglement value e_r =", 0, log2(d))
+    M = _check_interval(M, "port count", 2, inf, hi_open=True)
+    b = d * (d - 1)  # an int over an integral M, so eps is rounded once, as for an int M
+    eps = b / int(M) if M.is_integer() else b / M
     f = (1.0 + eps) * log1p(eps) / log(2.0) - eps * log2(eps)
     return M * e_r + (2.0 * d * (d - 1) / M) * log2(d) + f
 
@@ -328,8 +336,8 @@ def m_tilde(d: int, e_r: float) -> float:
 
     An e_r so small that the quotient overflows to inf is rejected by name.
     """
-    _check_int(d, "dimension", 2)
-    _check_interval(e_r, "entanglement value e_r =", 0, log2(d))
+    d = _check_int(d, "dimension", 2)
+    e_r = _check_interval(e_r, "entanglement value e_r =", 0, log2(d))
     if e_r == 0.0:
         raise ValueError("entanglement value 0 has no finite port count")
     m = sqrt(2.0 * d * (d - 1) * log2(d) / e_r)

@@ -31,8 +31,8 @@ class KrausChannel:
     d_out: int
 
     def __post_init__(self):
-        _check_int(self.d_in, "input dimension", 1)
-        _check_int(self.d_out, "output dimension", 1)
+        object.__setattr__(self, "d_in", _check_int(self.d_in, "input dimension", 1))
+        object.__setattr__(self, "d_out", _check_int(self.d_out, "output dimension", 1))
         ops = tuple(np.asarray(K, dtype=complex) for K in self.kraus_ops)
         object.__setattr__(self, "kraus_ops", ops)
         if not ops:
@@ -91,7 +91,7 @@ def choi(ch: KrausChannel) -> ChoiMatrix:
     for K in ch.kraus_ops:
         w = K.swapaxes(-1, -2).reshape(K.shape[:-2] + (-1,))
         out = out + (w * phi)[..., :, None] * w.conj()[..., None, :]
-    return _trusted(ChoiMatrix, _trusted(DensityMatrix, out, (int(ch.d_in), int(ch.d_out))))
+    return _trusted(ChoiMatrix, _trusted(DensityMatrix, out, (ch.d_in, ch.d_out)))
 
 
 def amplitude_damping(p) -> KrausChannel:
@@ -100,9 +100,9 @@ def amplitude_damping(p) -> KrausChannel:
     An array of p gives the stacked channel with Kraus operators of shape
     p.shape + (2, 2); an offending p is named in the error (the first one).
     """
-    p = np.asarray(p, dtype=float)
-    for q in p.reshape(-1).tolist():
-        _check_interval(q, "damping probability", 0, 1)
+    p = np.asarray(p)  # no float dtype yet: an int past the float range is the check's to name
+    checked = [_check_interval(q, "damping probability", 0, 1) for q in p.ravel().tolist()]
+    p = np.array(checked).reshape(p.shape)
     K0 = np.zeros(p.shape + (2, 2), dtype=complex)
     K1 = np.zeros_like(K0)
     K0[..., 0, 0] = 1.0

@@ -35,8 +35,9 @@ from .linalg import _check_int, _check_interval, fidelity
 OUT_DIR_ENV = "PBTBOUNDS_OUT_DIR"
 JSON_SCHEMA = "pbtbounds-table/1"
 _DESCRIPTION = "Tables of adaptive discrimination bounds via teleportation simulation"
-# Most rows xi-table prints (rows M = 2..100001 take about 37 s on a 2-vCPU
-# host); a range inside [2, pbt._MAX_PORTS] could otherwise ask for 10**10.
+# Most rows a table prints (xi-table's rows M = 2..100001 take about 37 s on a
+# 2-vCPU host); a range inside [2, pbt._MAX_PORTS] could otherwise ask for 10**10,
+# and --steps for a grid of any length.
 _MAX_ROWS = 10**5
 
 
@@ -44,8 +45,8 @@ def _fmt(value, precision: int):
     """Round-trippable cell rendering at the requested significant digits."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):  # the library's counts and port counts are Python ints
+        return str(value)
     return f"{float(value):.{precision}g}"
 
 
@@ -65,9 +66,9 @@ def _render(rows: list[dict], args: argparse.Namespace) -> str:
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    _check_int(steps, "steps", 1)
-    _check_interval(lo, "range start", -inf, inf, lo_open=True, hi_open=True)
-    _check_interval(hi, "range end", lo, inf)
+    steps = _check_int(steps, "steps", 1, _MAX_ROWS)
+    lo = _check_interval(lo, "range start", -inf, inf, lo_open=True, hi_open=True)
+    hi = _check_interval(hi, "range end", lo, inf)
     _check_interval(hi, "range end", lo, inf, hi_open=True)  # only hi = inf is left to fail
     if steps == 1:
         return [lo]
@@ -146,9 +147,8 @@ def cmd_illumination(args: argparse.Namespace) -> list[dict]:
 
 def cmd_metrology(args: argparse.Namespace) -> list[dict]:
     grid = _grid(args.p_min, args.p_max, args.steps)
-    dtheta = args.dtheta
     # the interval qfi_choi applies, checked first so a bad step is not blamed on p
-    _check_interval(dtheta, "step", 0, inf, lo_open=True, hi_open=True)
+    dtheta = _check_interval(args.dtheta, "step", 0, inf, lo_open=True, hi_open=True)
     for p in grid:
         if not dtheta / 2 < p < 1 - dtheta / 2:
             raise ValueError(f"p={p} leaves no room for the finite-difference step")

@@ -14,7 +14,7 @@ from math import exp, inf, log, sqrt
 import numpy as np
 
 from .linalg import Array, _check_int, _check_interval
-from .pbt import _ad_factor, _series, _simulation_errors
+from .pbt import _MAX_PORTS, _ad_factor, _series, _simulation_errors
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,8 @@ def _scan(n: int, log_f, Ms: Array, deltas: Array) -> tuple[Array, Array, Array]
 
 def default_m_grid(n: int, d: int) -> list[int]:
     """Small-M territory plus the analytic-scaling region around 4d(d-1)n."""
+    n = _check_int(n, "count n =", 1)
+    d = _check_int(d, "dimension", 2)
     grid = set(range(2, 65))
     grid |= {round(x * d * (d - 1) * n) for x in (2, 3, 4, 6, 8)}
     return sorted(grid)
@@ -82,9 +84,9 @@ def bound_B_optimized(n: int, d: int, F: float) -> BoundReport:
     of the unclamped bound, named even when every bound clamps to 0), its delta
     and D_M ('d_estimate'), the estimator and the delta provenance.
     """
-    _check_int(n, "count n =", 1)
-    _check_int(d, "dimension", 2)
-    _check_interval(F, "fidelity", 0, 1)
+    n = _check_int(n, "count n =", 1)
+    d = _check_int(d, "dimension", 2)
+    F = _check_interval(F, "fidelity", 0, 1)
     grid = default_m_grid(n, d)
     deltas, provenance = _simulation_errors(grid, d)
     raw, fuchs, i = _scan(n, _log_f(F), np.array(grid, dtype=float), deltas)
@@ -102,9 +104,9 @@ def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
     exp(-4n sqrt(2d(d-1) eps))/4 and a regime flag (expansion assumes
     n sqrt(2d(d-1) eps) small).
     """
-    _check_interval(epsilon, "infidelity", 0, 1)
-    _check_int(n, "count n =", 1)
-    _check_int(d, "dimension", 2)
+    epsilon = _check_interval(epsilon, "infidelity", 0, 1)
+    n = _check_int(n, "count n =", 1)
+    d = _check_int(d, "dimension", 2)
     x = n * sqrt(2.0 * d * (d - 1) * epsilon)
     raw = 0.25 - x
     surrogate = exp(-4.0 * x) / 4.0
@@ -114,8 +116,8 @@ def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
 
 def ad_fidelity(p0: float, p1: float) -> float:
     """Fidelity between the Choi matrices of two amplitude damping channels."""
-    for p in (p0, p1):
-        _check_interval(p, "damping probability", 0, 1)
+    p0 = _check_interval(p0, "damping probability", 0, 1)
+    p1 = _check_interval(p1, "damping probability", 0, 1)
     return (1.0 + sqrt((1.0 - p0) * (1.0 - p1)) + sqrt(p0 * p1)) / 2.0
 
 
@@ -136,12 +138,14 @@ def ad_discrimination_sweep(
     dp = 0.4, n = 1, block_lower is 0.357, but one use with input |1> already
     reaches error 0.300. The lb_* columns bound every adaptive protocol.
     """
-    _check_int(n, "count n =", 1)
+    n = _check_int(n, "count n =", 1)
     if not p_grid or not M_grid:
         raise ValueError("parameter grids must be nonempty")
-    _check_interval(dp, "damping separation", 0, inf)
+    dp = _check_interval(dp, "damping separation", 0, inf)
+    M_grid = [_check_int(M, "port count", 2, _MAX_PORTS) for M in M_grid]  # _series's limit and message
     opt_grid = sorted(set(default_m_grid(n, 2)) | set(M_grid))
-    xis = _series(opt_grid)[0]  # checks every port count once
+    xis = _series(opt_grid)[0]
+    p_grid = [_check_interval(p, "damping probability", 0, 1) for p in p_grid]
     log_f, factors = [], []
     for p in p_grid:
         p0, p1 = p, p + dp
@@ -158,7 +162,7 @@ def ad_discrimination_sweep(
     raw, _, best = _scan(n, log_f[:, None], np.array(opt_grid, dtype=float), delta_bar)
     values = np.clip(raw, 0.0, 0.5)
     block_lower = ((1.0 - _fuchs(log_f, 2.0 * n)) / 2.0).tolist()
-    block_upper = (_pow(log_f, float(n)) / 2.0).tolist()
+    block_upper = (_pow(log_f, n) / 2.0).tolist()
     fixed = [opt_grid.index(M) for M in M_grid]
     rows = []
     for p, lower, upper, row_values, j_max in zip(p_grid, block_lower, block_upper, values.tolist(), best):

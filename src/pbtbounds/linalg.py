@@ -23,22 +23,36 @@ TOL_NUM = 1e-8
 Array = np.ndarray
 
 
-def _check_int(value, name: str, lo: int, hi: float = inf) -> None:
-    """Accept an int or numpy integer, never a bool, with lo <= value <= hi."""
+def _check_int(value, name: str, lo: int, hi: int = 2**53) -> int:
+    """Return value as an int: an int or numpy integer, never a bool, with lo <= value <= hi.
+
+    hi is at most 2**53: every int up to it is an exact float, and no product of two overflows one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
-        bounds = f">= {lo}" if hi == inf else f"in [{lo}, {hi}]"
+        if hi == 2**53 and isinstance(value, (int, np.integer)) and value > hi:
+            raise ValueError(f"{name} {value} is above 2**53, the largest integer a float holds exactly")
+        bounds = f">= {lo}" if hi == 2**53 else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} {value} must be an integer {bounds}")
+    return int(value)
 
 
-def _check_interval(value, name: str, lo: float, hi: float, lo_open=False, hi_open=False) -> None:
-    """Accept lo <= value <= hi, strict at an open end.
+def _check_interval(value, name: str, lo: float, hi: float, lo_open=False, hi_open=False) -> float:
+    """Return value as a float, accepting lo <= value <= hi, strict at an open end.
 
-    Written in the positive form, so NaN always fails, and so does an infinite
-    value against a finite bound. The message reads "<name> <value> outside <interval>".
+    An int beyond the float range counts as the infinity of its sign. The test
+    is written in the positive form, so NaN always fails, and so does an
+    infinite value against a finite bound. The message reads "<name> <value> outside <interval>".
     """
-    if not ((lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)):
+    # float() would parse text; a float, the common case, skips the slower type test
+    if type(value) is not float and isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = inf if value > 0 else -inf
+    if not ((lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
         interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
         raise ValueError(f"{name} {value} outside {interval}")
+    return x
 
 
 def _as_matrix(obj) -> Array:
@@ -65,9 +79,7 @@ class DensityMatrix:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        for d in self.dims:
-            _check_int(d, "subsystem dimension", 1)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(_check_int(d, "subsystem dimension", 1) for d in self.dims))
         if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         if not np.isfinite(mat).all():

@@ -73,9 +73,8 @@ def _series(Ms: Sequence[int]) -> Array:
     and a -inf log-ratio after the window makes every padded weight an exact
     0, so every M gets the same bits in any batch as on its own.
     """
-    for M in Ms:
-        _check_int(M, "port count", 2, _MAX_PORTS)
-    pairs = {int(M): _store.get(M) for M in Ms}  # int keys: 1 - M must not wrap unsigned
+    Ms = [_check_int(M, "port count", 2, _MAX_PORTS) for M in Ms]
+    pairs = {M: _store.get(M) for M in Ms}
     new = [M for M, pair in pairs.items() if pair is None]
     groups: dict[int, list[tuple[int, int]]] = {}
     for m in new:
@@ -144,15 +143,10 @@ def entanglement_fidelity_qubit(M: int) -> float:
     return float(_series((M,))[1][0])
 
 
-def delta_exact_qubit(M: int) -> float:
-    """Diamond-norm distance between the identity and the M-port channel (d=2)."""
-    return _DELTA_PER_XI * xi(M)
-
-
 def delta_upper(M: int, d: int) -> float:
     """Dimension-general upper bound 2d(d-1)/M on the simulation error."""
-    _check_int(M, "port count", 2)
-    _check_int(d, "dimension", 2)
+    M = _check_int(M, "port count", 2)
+    d = _check_int(d, "dimension", 2)
     return 2.0 * d * (d - 1) / M
 
 
@@ -161,25 +155,22 @@ def simulation_error(M: int, d: int) -> tuple[float, str]:
 
     'closed_form' is the exact qubit value (3/2) xi_M; for d > 2 the only
     handle is 'upper_bound', the 2d(d-1)/M bound capped at 2, which no
-    diamond distance exceeds. _simulation_errors is the same lookup over a grid.
+    diamond distance exceeds: a one-member read of the grid lookup _simulation_errors.
     """
-    bound = delta_upper(M, d)  # checks M and d before the d == 2 branch
-    if d == 2:
-        return delta_exact_qubit(M), "closed_form"
-    return min(bound, 2.0), "upper_bound"
+    deltas, provenance = _simulation_errors((M,), d)
+    return float(deltas[0]), provenance
 
 
 def _simulation_errors(Ms: Sequence[int], d: int) -> tuple[Array, str]:
     """simulation_error over a grid of port counts: one array of delta_M, one provenance.
 
-    Each entry equals simulation_error(M, d)[0] bit for bit. For d > 2 the
-    port counts are only checked: xi_M is neither computed nor stored.
+    The dimension is checked before the port counts. For d > 2 the port counts
+    are only checked: xi_M is neither computed nor stored.
     """
-    _check_int(d, "dimension", 2)
+    d = _check_int(d, "dimension", 2)
     if d == 2:
         return _DELTA_PER_XI * _series(Ms)[0], "closed_form"
-    for M in Ms:
-        _check_int(M, "port count", 2)
+    Ms = [_check_int(M, "port count", 2) for M in Ms]
     return np.minimum(2.0 * d * (d - 1) / np.array(Ms, dtype=float), 2.0), "upper_bound"
 
 
@@ -244,5 +235,5 @@ def _ad_factor(p: float) -> float:
 
 def delta_ad(M: int, p: float) -> float:
     """Diamond-norm error of the M-port simulation of amplitude damping."""
-    _check_interval(p, "damping probability", 0, 1)
+    p = _check_interval(p, "damping probability", 0, 1)
     return xi(M) * _ad_factor(p)

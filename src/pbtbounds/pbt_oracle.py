@@ -71,7 +71,7 @@ def _solve_sectors(M: int) -> Iterator[tuple[Array, Array, Array, Array, Array]]
     Pi^i = 2^{-M} (S V_i)(S V_i)^T + K K^T / M. Before yielding, it checks that
     S rho S + K K^T, the sum of these Pi^i, is the identity (NaN fails too).
     """
-    _check_int(M, "port count", 2, M_MAX)
+    M = _check_int(M, "port count", 2, M_MAX)
     states = np.arange(2 ** (M + 1))
     charge = (states[:, None] >> np.arange(M) & 1).sum(axis=1) - (states >> M)
     for k in range((M + 3) // 2):
@@ -112,6 +112,7 @@ def oracle_channel_choi(M: int) -> ChoiMatrix:
     sums at flipped labels and the same pair entries. The sum is verified
     (rather than assumed) to fit the isotropic form within TOL_ISO.
     """
+    M = _check_int(M, "port count", 2, M_MAX)
     diagonals, corners = [], []
     for k, (_, labels, pairs, S, K) in enumerate(_solve_sectors(M)):
         paired = 2 * k != M + 1  # at odd M the middle sector is its own partner

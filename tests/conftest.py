@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pbtbounds.channels import KrausChannel
 from pbtbounds.linalg import DensityMatrix, _check_int, _check_interval
+from pbtbounds.pbt import simulation_error
 from pbtbounds.pbt_oracle import _solve_sectors
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -52,6 +53,11 @@ def _weyl(d, a, b):
     X = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     Z = np.diag(omega ** np.arange(d))
     return np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
+
+
+def delta_exact_qubit(M):
+    """Exact qubit simulation error delta_M = (3/2) xi_M, read off the library's one provider."""
+    return simulation_error(M, 2)[0]
 
 
 def depolarizing(xi, d):

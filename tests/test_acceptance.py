@@ -12,6 +12,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from conftest import delta_exact_qubit
 from pbtbounds import applications as apps
 from pbtbounds import cli, discrimination as disc, pbt, pbt_oracle
 from pbtbounds.channels import amplitude_damping, choi
@@ -37,13 +38,13 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_fidelity_error_identity():
     for M in range(2, 31):
-        total = pbt.entanglement_fidelity_qubit(M) + pbt.delta_exact_qubit(M) / 2
+        total = pbt.entanglement_fidelity_qubit(M) + delta_exact_qubit(M) / 2
         assert abs(total - 1.0) <= 1e-10
 
 
 def test_criterion_04_dimension_bound():
     for M in range(2, 31):
-        assert pbt.delta_exact_qubit(M) <= pbt.delta_upper(M, 2)
+        assert delta_exact_qubit(M) <= pbt.delta_upper(M, 2)
 
 
 def test_criterion_05_damping_simulation_error():
@@ -56,7 +57,7 @@ def test_criterion_05_damping_simulation_error():
             assert got is not None, f"scalar criterion failed at M={M}, p={p}"
             assert got == pytest.approx(pbt.delta_ad(M, float(p)), abs=1e-10)
     for M in (2, 5, 11):
-        assert pbt.delta_ad(M, 0.0) == pbt.delta_exact_qubit(M)
+        assert pbt.delta_ad(M, 0.0) == delta_exact_qubit(M)
         assert pbt.delta_ad(M, 1.0) == 0.0
 
 

@@ -552,6 +552,14 @@ class TestAsymptoticKeyRate:
         assert best == pytest.approx(0.2757036277916119, abs=1e-12)
         assert best_m > m_tilde(2, 1e-3)  # the f-term pushes the optimum up
 
+    @pytest.mark.parametrize("M", [244523415286, np.int64(244523415286), 244523728097])
+    def test_integral_port_count_at_a_large_dimension(self, M):
+        # d(d-1) is above 2^53 at d = 1e9 + 7: an integral M divides it exactly,
+        # as an int M always did, so eps is rounded once (values of the int-division form)
+        want = {244523415286: 489059146.7983906, 244523728097: 489059146.7830632}[int(M)]
+        assert key_rate_bound_asymptotic(10**9 + 7, 1e-3, M) == want
+        assert key_rate_minimize_m(10**9 + 7, 1e-3) == (244523728097, 489059146.7830632)
+
     def test_matches_mpmath_down_to_tiny_e_r(self):
         # f takes log1p(eps): forming 1 + eps first was off by ~2e-16 absolute,
         # 6e-12 relative near the minimum at e_r = 1e-12

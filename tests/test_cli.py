@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import delta_exact_qubit
 from pbtbounds import cli, pbt, pbt_oracle
 from pbtbounds.cli import JSON_SCHEMA, OUT_DIR_ENV, main
 
@@ -35,6 +36,9 @@ FAST_ARGS = {
     "keyrate": ["keyrate"],
 }
 
+
+# a 401-digit integer: far past 2**53 and past the float range
+HUGE = "1" + "0" * 400
 
 # argv that argparse rejects: main exits 1 with the usage message on stderr
 PARSE_ERROR_ARGV = [
@@ -84,7 +88,7 @@ class TestCsvOutput:
             )
             cells = out.strip().split("\n")[1].split(",")
             assert float(cells[1]) == pytest.approx(pbt.xi(6), rel=rel)
-            assert float(cells[3]) == pytest.approx(pbt.delta_exact_qubit(6), rel=rel)
+            assert float(cells[3]) == pytest.approx(delta_exact_qubit(6), rel=rel)
 
     def test_xi_table_past_the_store_runs_each_port_count_once(self, capsys, monkeypatch):
         # a grid larger than the xi store: the delta column comes from the xi column in hand
@@ -96,7 +100,7 @@ class TestCsvOutput:
         assert code == 0 and sorted(rows) == list(range(2, 41))
         for line in out.strip().split("\n")[1:]:
             M, _, _, delta = line.split(",")[:4]
-            assert float(delta) == pbt.delta_exact_qubit(int(M))
+            assert float(delta) == delta_exact_qubit(int(M))
 
 
 class TestJsonOutput:
@@ -210,6 +214,46 @@ class TestExitCodes:
         code, out = _run(["xi-table", "--m-min", "2", "--m-max", "4"], capsys)
         assert code == 0 and len(out.splitlines()) == 4
         assert main(["xi-table", "--m-min", "2", "--m-max", "5"]) == 1
+
+    @pytest.mark.parametrize("command", ["ad-sweep", "resolution", "illumination", "metrology"])
+    def test_steps_above_the_row_limit_exits_one(self, command, capsys, monkeypatch):
+        # rejected before the grid is built: 10**9 points would exhaust memory
+        monkeypatch.setattr(cli, "range", lambda *a: pytest.fail("grid built"), raising=False)
+        assert main([command, "--steps", "1000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: steps 1000000000 must be an integer in [1, 100000]\n"
+
+    def test_steps_at_the_row_limit_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ROWS", 3)
+        code, out = _run(["resolution", "--steps", "3"], capsys)
+        assert code == 0 and len(out.splitlines()) == 4
+        assert main(["resolution", "--steps", "4"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrology", "--n", HUGE],
+            ["resolution", "--n", HUGE],
+            ["illumination", "--n", HUGE],
+            ["keyrate", "--n", HUGE],
+            ["illumination", "--d", HUGE],
+            ["keyrate", "--d", HUGE],
+            ["metrology", "--n", str(2**53 + 1)],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}={'401-digit' if argv[2] == HUGE else argv[2]}",
+    )
+    def test_integer_above_2_53_exits_one_with_one_error_line(self, argv, capsys):
+        # a ValueError naming the argument, not an OverflowError traceback
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "above 2**53" in captured.err
+
+    def test_integer_at_2_53_runs(self, capsys):
+        code, out = _run(["metrology", "--n", str(2**53), "--steps", "1"], capsys)
+        assert code == 0 and len(out.splitlines()) == 2
 
     @pytest.mark.parametrize("argv", [["keyrate", "--e-r-list", ""], ["ad-sweep", "--m-list", ""]])
     def test_empty_list_argument_rejected(self, argv, capsys):

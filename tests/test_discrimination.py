@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import delta_exact_qubit
 from pbtbounds.discrimination import (
     ad_discrimination_sweep,
     ad_fidelity,
@@ -19,7 +20,7 @@ from pbtbounds.discrimination import (
     bound_B_optimized,
     default_m_grid,
 )
-from pbtbounds.pbt import delta_ad, delta_exact_qubit, simulation_error
+from pbtbounds.pbt import delta_ad, simulation_error
 
 
 def _count_error(name, value) -> str:

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import depolarizing, isometry_channel
+from conftest import delta_exact_qubit, depolarizing, isometry_channel
 from pbtbounds import pbt
 from pbtbounds.channels import amplitude_damping, choi
 from pbtbounds.discrimination import bound_B_optimized
 from pbtbounds.pbt import (
     delta_ad,
-    delta_exact_qubit,
     delta_upper,
     diamond_via_choi_scalar_check,
     entanglement_fidelity_qubit,

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import isometry_channel, oracle_povm
+from conftest import delta_exact_qubit, isometry_channel, oracle_povm
 from pbtbounds.channels import amplitude_damping, choi
-from pbtbounds.pbt import delta_ad, delta_exact_qubit, xi
+from pbtbounds.pbt import delta_ad, xi
 
 _seeds = st.integers(0, 2**32 - 1)
 _PHI = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0  # maximally entangled on (R, C)
