@@ -353,28 +353,35 @@ def key_rate_minimize_m(d: int, e_r: float) -> tuple[int, float]:
     with b = d(d-1), eps = b/M has
     h'' = (b/(M^3 ln 2))(2 ln(1 + 1/eps) - 1/(1 + eps)) > 0,
     since ln(1 + 1/eps) >= 1/(1 + eps). So the integer minimum is the first M
-    with g(M+1) >= g(M), which bisection finds in O(log M) calls. The search
+    with g(M+1) >= g(M), which bisection finds in O(log M) steps. The search
     range 2 .. max(ceil(4 m_tilde), 8) holds it down to e_r of about 1e-16 at
     d = 2; below that the f-term's log moves the minimum past ceil(4 m_tilde),
-    so the range end is doubled while g still falls there. For
-    e_r >= 1e-12 at d <= 8 this is the same (argmin, minimum) as scanning the
-    whole grid for its first smallest value. Below that, g's rounding error (a
-    few ulp) can exceed its change over a port near the minimum, and the two
-    may pick neighbouring ports whose values tie to rounding. m_tilde rejects
-    e_r = 0, which has no finite minimizer, and an e_r whose m_tilde overflows;
-    an e_r whose range ends above 2^53, where M + 1 is no longer exact, is rejected too.
+    so the range end is doubled while g still falls there. Each step reads
+    g(M+1) - g(M) from a form without cancellation, not from two rounded
+    values of g, whose rounding outweighs it near the minimum once d is large
+    (at d = 10^9 + 7 over some 10^7 ports). Its error, a few ulp of e_r, is far
+    below its change over one port (2 e_r / M near the minimum), so the port
+    returned minimises the exact g. m_tilde rejects e_r = 0, which has no
+    finite minimizer, and an e_r whose m_tilde overflows; an e_r whose range
+    ends above 2^53, where M + 1 is no longer exact, is rejected too.
     """
-    g = partial(key_rate_bound_asymptotic, d, e_r)
     lo, hi = 2, max(ceil(4.0 * m_tilde(d, e_r)), 8)
-    while hi <= 2**53 and g(hi + 1) < g(hi):  # the minimum lies past hi
+    b, c, rate = int(d) * (int(d) - 1), 2.0 * log2(d), float(e_r)  # d and e_r checked by m_tilde
+
+    def rises(M: int) -> bool:  # g(M+1) - g(M) = e_r - b (2 log2 d + log2(1 + M/b)) / (M (M+1))
+        # + [b log1p(1/(M+b)) / (M+1) + log1p(-b/((M+1)(M+b)))] / ln 2 >= 0, int quotients rounded once
+        gain = b * log1p(1 / (M + b)) / (M + 1) + log1p(-b / ((M + 1) * (M + b)))
+        return rate + gain / log(2.0) >= b / (M * (M + 1)) * (c + log1p(M / b) / log(2.0))
+
+    while hi <= 2**53 and not rises(hi):  # the minimum lies past hi
         lo, hi = hi + 1, 2 * hi
     if hi > 2**53:
         raise ValueError(f"entanglement value e_r = {e_r} needs port counts above 2^53")
     # the first M with g(M+1) >= g(M) lies in [lo, hi]
     while lo < hi:
         mid = (lo + hi) // 2
-        if g(mid + 1) >= g(mid):
+        if rises(mid):
             hi = mid
         else:
             lo = mid + 1
-    return lo, g(lo)
+    return lo, key_rate_bound_asymptotic(d, e_r, lo)

@@ -35,7 +35,7 @@ from .linalg import _check_int, _check_interval, fidelity
 OUT_DIR_ENV = "PBTBOUNDS_OUT_DIR"
 JSON_SCHEMA = "pbtbounds-table/1"
 _DESCRIPTION = "Tables of adaptive discrimination bounds via teleportation simulation"
-# Most rows a table prints (xi-table's rows M = 2..100001 take about 37 s on a
+# Most rows a table prints (xi-table's rows M = 2..100001 take about 2 s on a
 # 2-vCPU host); a range inside [2, pbt._MAX_PORTS] could otherwise ask for 10**10,
 # and --steps for a grid of any length.
 _MAX_ROWS = 10**5

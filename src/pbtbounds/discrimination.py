@@ -14,7 +14,7 @@ from math import exp, inf, log, sqrt
 import numpy as np
 
 from .linalg import Array, _check_int, _check_interval
-from .pbt import _MAX_PORTS, _ad_factor, _series, _simulation_errors
+from .pbt import _ad_factor, _series, _simulation_errors
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,10 @@ def ad_discrimination_sweep(
     if not p_grid or not M_grid:
         raise ValueError("parameter grids must be nonempty")
     dp = _check_interval(dp, "damping separation", 0, inf)
-    M_grid = [_check_int(M, "port count", 2, _MAX_PORTS) for M in M_grid]  # _series's limit and message
-    opt_grid = sorted(set(default_m_grid(n, 2)) | set(M_grid))
-    xis = _series(opt_grid)[0]
+    grid = [*M_grid, *default_m_grid(n, 2)]
+    xi_of = dict(zip(grid, _series(grid)[0].tolist()))  # the kernel checks M_grid first, in order
+    opt_grid = sorted(map(int, xi_of))
+    xis = np.array([xi_of[M] for M in opt_grid])
     p_grid = [_check_interval(p, "damping probability", 0, 1) for p in p_grid]
     log_f, factors = [], []
     for p in p_grid:

@@ -6,20 +6,20 @@ diamond-norm simulation errors delta_M and Delta_M(p), and the Choi matrices
 of the simulated channels, which are linear in each channel's own Choi matrix
 because the M-port qubit channel is depolarizing.
 
-xi_M and f_e(M) come from one kernel, _series, that checks every port count,
-sums both series over one shared binomial window per M and keeps the pair per
-M in one module store of at most _STORE_SIZE = 4096 port counts (under
-1 MB). The scalar xi and entanglement_fidelity_qubit are one-member reads of
-it; the bound optimiser, the damping sweep and the CLI tables pass their whole
-grid in one call. A value is the same bits whether it was computed alone or in
-any grid, stored or recomputed after the store was emptied.
+xi_M and f_e(M) come from one kernel, _series: exact binomial sums below 100
+ports; from 100 on a 16-term moment series for xi_M, within 1.4 ulp of mpmath,
+and f_e = 1 - 3 xi_M / 4. It checks every port count and keeps the pair per M in
+a store of at most _STORE_SIZE = 4096 port counts (under 1 MB), which the scalar
+xi and entanglement_fidelity_qubit read and the bound optimiser, the damping sweep
+and the CLI tables fill with a whole grid per call. A value is the same bits
+whether computed alone or in any grid, stored or recomputed after a clear.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import chain
-from math import ceil, inf, sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -28,30 +28,60 @@ from .linalg import (TOL_NUM, Array, DensityMatrix, _check_int, _check_interval,
                      _trusted)
 
 
-# A weight below e^-708 of the centre's (about the smallest normal double) is
-# dropped: its share of any of the sums is under 1e-300, far below their last bit.
-_LOG_TINY = 708
-
-# Largest port count _series accepts: its window of about 18.8 sqrt(M) entries
-# takes about 200 MB of temporaries there, and that grows as sqrt(M) beyond.
+# Largest port count _series accepts: the top of the range its series is pinned on.
 _MAX_PORTS = 10**10
+_SERIES_FROM = 100  # the first port count whose xi_M comes from the series
+# xi_M ~ sum_j c_j x^j, x = 1/(M + 2): c_1 .. c_16 rounded from exact dyadics (1, 5/4, 23/8, ...)
+_XI_SERIES = (1.0, 1.25, 2.875, 10.859375, 59.3046875, 420.205078125, 3625.2099609375,
+              36715.762634277344, 426288.49447631836, 5577426.5575790405, 81156782.94995499,
+              1299645421.9053626, 22709970275.59639, 429934842884.4808, 8765178533123.627,
+              191443578686870.97)
 # Most (xi_M, f_e(M)) pairs the store of _series holds, keyed by M.
 _STORE_SIZE = 4096
 _store: dict[int, tuple[float, float]] = {}
 _DELTA_PER_XI = 1.5  # delta_M / xi_M at d = 2: the qubit simulation error is (3/2) xi_M
 
 
-def _window(M: int) -> int:
-    """Length of the half window k = M//2, M//2 - 1, ... summed for M ports.
+def _exact_sums(ports: Array) -> tuple[Array, Array]:
+    """xi_M and f_e(M) by their binomial sums, for port counts 2 <= M < _SERIES_FROM.
 
-    Binom(M, 1/2) falls from its centre c = M//2 as
-    C(M, c - j) / C(M, c) <= exp(-j^2 / (c + j + 1)), so from the first j with
-    j^2 >= 708 (c + j + 1) on every weight is below e^-708 of the centre's
-    (about j = 18.8 sqrt(M)); up to M = 2833 the window reaches k = 0.
+    Both run over k = M//2 .. 0 in t = M - 2k (= 2s + 1 for xi's spins), since
+    f_e's summand is symmetric under k -> M - k, in rows of 64 entries. The
+    log-weights are cumulative sums of log C(M, k-1) / C(M, k) taken outward
+    from the centre, which keeps the rounding of the large central weights at a
+    few ulp; none is below e^-69, and a -inf after k = 0 makes every padded one 0.
     """
-    c = M // 2
-    a = _LOG_TINY / 2
-    return min(c + 1, ceil(a + sqrt(a * a + _LOG_TINY * (c + 1))))
+    M = ports[:, None].astype(float)
+    t = np.minimum(M % 2 + np.arange(0.0, 128.0, 2.0), M)  # k = M//2 - j, clipped at k = 0
+    tm, tp, am, ap = t - 1, t + 1, (M + 2) - t, (M + 2) + t  # am = 2(k + 1), ap = 2(M - k + 1)
+    # log C(M, k) / C(M, k + 1) = log1p((1 - t) / ((M + t) / 2)), summed outward from t = M % 2
+    log_w = np.log1p(-2 * tm / (ap - 2))
+    log_w[:, 0] = 0.0
+    log_w[np.arange(len(ports)), ports // 2 + 1] = -inf
+    w = np.exp(log_w.cumsum(axis=-1))
+    a, b = np.sqrt(am), np.sqrt(ap)
+    # xi: (t^2 - 1) t^2 / (g ((M+2) + sqrt(g))) with g = (M+2)^2 - t^2 = am ap, no cancellation
+    x_terms = tm * tp * (t * t) * w / (am * ap * ((M + 2) + a * b))
+    # f_e: ((t - 1)/sqrt(k + 1) + (t + 1)/sqrt(M - k + 1))^2 = 2 ((t - 1)/a + (t + 1)/b)^2
+    g = tm / a + tp / b
+    # the upper half mirrors the lower one, and an even M's centre t = 0 counts once
+    norm = 2 * w.sum(axis=-1) - (1 - ports % 2)
+    # 16 w = C(M, k) / 2^(M-4) in xi; f_e doubles its half and takes 2 w / 8
+    xi = np.ldexp((ports + 2) / 3, 1 - ports) + 16 * (x_terms.sum(axis=-1) / norm) / 12
+    return xi, (g * g * w).sum(axis=-1) / norm / 2
+
+
+def _moment_series(ports: Array) -> tuple[Array, Array]:
+    """xi_M and f_e(M) = 1 - 3 xi_M / 4 (the depolarizing channel's) for M >= _SERIES_FROM.
+
+    With S = M - 2k a sum of M signs and N = M + 2, xi_M - N 2^(1-M) / 3 (under
+    1e-26 of xi_M) is (2/3) E[(S^4 - S^2) r(S^2/N^2)] / N^3, r(u) = 1/((1 - u)(1 + sqrt(1 - u))):
+    expanding r and collecting the moments of S in x = 1/N gives x + (5/4) x^2 + ....
+    """
+    x, xi = 1.0 / (ports + 2.0), 0.0
+    for c in reversed(_XI_SERIES):
+        xi = (xi + c) * x
+    return xi, 1.0 - 0.75 * xi
 
 
 def _series(Ms: Sequence[int]) -> Array:
@@ -59,56 +89,18 @@ def _series(Ms: Sequence[int]) -> Array:
 
     Every port count is checked, in order and before any is computed, to be an
     integer in [2, _MAX_PORTS] (10**10), and kept as a Python int. Those in the
-    store are read; the missing ones, each once, are computed and stored. A pass
+    store are read; the missing ones, each once, go through _exact_sums or
+    _moment_series, one numpy pass each, elementwise in M, and are stored. A pass
     that would take the store past _STORE_SIZE empties it first, and of more
     than _STORE_SIZE new port counts only the first _STORE_SIZE are kept.
-
-    Both sums run over one binomial window per M, the half k <= M/2 in the
-    variable t = M - 2k (= 2s + 1 for xi's spins), since f_e's summand is
-    symmetric under k -> M - k. The log-weights are cumulative sums of
-    log C(M, k-1) / C(M, k) taken outward from the centre, which keeps the
-    rounding of the large central weights at a few ulp. Rows of the same
-    width, the window plus at least one entry of padding rounded up to a
-    multiple of 64, go through numpy together. The width depends on M alone
-    and a -inf log-ratio after the window makes every padded weight an exact
-    0, so every M gets the same bits in any batch as on its own.
     """
     Ms = [_check_int(M, "port count", 2, _MAX_PORTS) for M in Ms]
     pairs = {M: _store.get(M) for M in Ms}
     new = [M for M, pair in pairs.items() if pair is None]
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for m in new:
-        n = _window(m)
-        groups.setdefault((n // 64 + 1) * 64, []).append((m, n))
-    for width, group in groups.items():
-        ports, ends = zip(*group)
-        ports = np.array(ports)
-        if len(group) == 1:  # a scalar broadcasts faster than a (1, 1) column, to the same bits
-            M, ends = float(ports[0]), ends[0]
-        else:
-            M, ends = ports[:, None].astype(float), (np.arange(len(group)), ends)
-        t = np.minimum(M % 2 + np.arange(0.0, 2 * width, 2.0), M)  # k = M//2 - j, clipped at k = 0
-        tm, tp, am, ap = t - 1, t + 1, (M + 2) - t, (M + 2) + t  # am = 2(k + 1), ap = 2(M - k + 1)
-        # log C(M, k) / C(M, k + 1) = log1p((1 - t) / ((M + t) / 2)), summed outward from t = M % 2
-        log_w = np.log1p(-2 * tm / (ap - 2))
-        log_w[..., 0] = 0.0
-        log_w[ends] = -inf  # the first padded entry; the sum stays -inf after it
-        log_w = log_w.cumsum(axis=-1)
-        # tiny weights stay 0; as subnormals they would slow exp and every product after it
-        terms = np.zeros((3, *t.shape))
-        w = np.exp(log_w, out=terms[0], where=log_w > -_LOG_TINY)
-        a, b = np.sqrt(am), np.sqrt(ap)
-        # xi: (t^2 - 1) t^2 / (g ((M+2) + sqrt(g))) with g = (M+2)^2 - t^2 = am ap, no cancellation
-        np.divide(tm * tp * (t * t) * w, am * ap * ((M + 2) + a * b), out=terms[1])
-        # f_e: ((t - 1)/sqrt(k + 1) + (t + 1)/sqrt(M - k + 1))^2 = 2 ((t - 1)/a + (t + 1)/b)^2
-        g = tm / a + tp / b
-        np.multiply(g * g, w, out=terms[2])
-        w_sum, x_sum, f_sum = terms.sum(axis=-1)
-        # the upper half mirrors the lower one, and an even M's centre t = 0 counts once
-        norm = 2 * w_sum - (1 - ports % 2)
-        # 16 w = C(M, k) / 2^(M-4) in xi; f_e doubles its half and takes 2 w / 8
-        xi = np.ldexp((ports + 2) / 3, 1 - ports) + 16 * (x_sum / norm) / 12
-        pairs.update(zip(ports.tolist(), zip(xi.tolist(), (f_sum / norm / 2).tolist())))
+    for kernel, ports in ((_exact_sums, [M for M in new if M < _SERIES_FROM]),
+                          (_moment_series, [M for M in new if M >= _SERIES_FROM])):
+        if ports:
+            pairs.update(zip(ports, zip(*(v.tolist() for v in kernel(np.array(ports))))))
     if len(_store) + len(new) > _STORE_SIZE:
         _store.clear()
     _store.update((M, pairs[M]) for M in new[:_STORE_SIZE])
@@ -123,10 +115,10 @@ def xi(M: int) -> float:
     (M-1)/2, k = (M-1)/2 - s and g = (M+2)^2 - (2s+1)^2. The last factor is
     evaluated as (2s+1)^2 / (g ((M+2) + sqrt(g))), which has no cancellation.
 
-    Only the binomial window around M/2 is summed, so the cost is O(sqrt M),
-    and M above 10**10 is rejected. Relative error is at most 1e-14 against a
-    40-digit mpmath sum for 2 <= M <= 1e6. A one-member read of the checked
-    store of _series: a member of any grid equals xi(M) bit for bit.
+    Summed as it stands below 100 ports; from 100 on, a 16-term moment series
+    in 1/(M + 2) takes O(1) and is within 1.4 ulp of a 40-digit mpmath sum (M <= 1e6)
+    or of the exact series (up to the limit M = 10**10). Relative error is at most
+    1e-14 for every M; a member of any grid equals xi(M) bit for bit.
     """
     return float(_series((M,))[0][0])
 
@@ -135,10 +127,9 @@ def entanglement_fidelity_qubit(M: int) -> float:
     """Entanglement fidelity of the M-port qubit protocol.
 
     f_e = 2^{-M-3} sum_k C(M, k) ((M-2k-1)/sqrt(k+1) + (M-2k+1)/sqrt(M-k+1))^2,
-    summed over the binomial window around M/2 in O(sqrt M), from the same
-    window and the same store entry as xi(M). Relative error is at most 1e-14
-    against a 40-digit mpmath sum for 2 <= M <= 1e6; a grid member equals
-    the scalar call bit for bit, as for xi.
+    summed below 100 ports and 1 - 3 xi_M / 4 from 100 on. Relative error is at
+    most 1e-14 against a 50-digit mpmath sum (M <= 6401) and against 1 - 3 xi_M / 4
+    of the exact series up to M = 10**10; grid members equal scalar calls, as for xi.
     """
     return float(_series((M,))[1][0])
 

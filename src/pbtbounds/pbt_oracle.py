@@ -112,9 +112,9 @@ def oracle_channel_choi(M: int) -> ChoiMatrix:
     sums at flipped labels and the same pair entries. The sum is verified
     (rather than assumed) to fit the isotropic form within TOL_ISO.
     """
-    M = _check_int(M, "port count", 2, M_MAX)
     diagonals, corners = [], []
-    for k, (_, labels, pairs, S, K) in enumerate(_solve_sectors(M)):
+    for k, (_, labels, pairs, S, K) in enumerate(_solve_sectors(M)):  # the solve checks M first
+        M = len(labels)  # the checked port count, a Python int
         paired = 2 * k != M + 1  # at odd M the middle sector is its own partner
         x0, x1 = pairs[:, 0]  # port 1
         SV = S[:, x0] + S[:, x1]
@@ -134,4 +134,4 @@ def oracle_channel_choi(M: int) -> ChoiMatrix:
 def oracle_xi(M: int) -> float:
     """Depolarizing probability of the M-port channel: the isotropic fit of the
     summed oracle Choi matrix (RuntimeError if that matrix is not isotropic)."""
-    return _isotropic_fit(oracle_channel_choi(M).matrix)
+    return float(_isotropic_fit(oracle_channel_choi(M).matrix))

@@ -1,7 +1,7 @@
 """Optical resolution, illumination, metrology, and key-rate applications."""
 
 import random
-from math import ceil, exp, inf, log2, log10, sqrt
+from math import ceil, exp, floor, inf, log2, log10, sqrt
 
 import mpmath as mp
 import numpy as np
@@ -558,7 +558,21 @@ class TestAsymptoticKeyRate:
         # as an int M always did, so eps is rounded once (values of the int-division form)
         want = {244523415286: 489059146.7983906, 244523728097: 489059146.7830632}[int(M)]
         assert key_rate_bound_asymptotic(10**9 + 7, 1e-3, M) == want
-        assert key_rate_minimize_m(10**9 + 7, 1e-3) == (244523728097, 489059146.7830632)
+
+    def test_search_at_a_large_dimension(self):
+        # g's rounding there outweighs its change over some 10^7 ports, so a
+        # search on differences of rounded values stopped 5.8e6 ports short
+        # (244523728097) at a K_min 0.14 above K(m_tilde)
+        d, e_r = 10**9 + 7, 1e-3
+        best_m, best = key_rate_minimize_m(d, e_r)
+        mt = m_tilde(d, e_r)
+        assert best <= min(key_rate_bound_asymptotic(d, e_r, M) for M in (floor(mt), ceil(mt)))
+        assert best_m == 244529562340 and best == key_rate_bound_asymptotic(d, e_r, best_m)
+        with mp.workdps(40):  # the minimiser of the exact g
+            b, e_r = mp.mpf(d * (d - 1)), mp.mpf(e_r)
+            g = [M * e_r + 2 * b / M * mp.log(d, 2) + (1 + b / M) * mp.log(1 + b / M, 2)
+                 - b / M * mp.log(b / M, 2) for M in map(mp.mpf, (best_m - 1, best_m, best_m + 1))]
+            assert g[0] > g[1] < g[2]
 
     def test_matches_mpmath_down_to_tiny_e_r(self):
         # f takes log1p(eps): forming 1 + eps first was off by ~2e-16 absolute,

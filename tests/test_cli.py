@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ HEADERS = {
 }
 
 DATA_DIR = Path(__file__).parent / "data"
+# the two passes of the xi kernel: exact sums below 100 ports, the moment series from 100 on
+_KERNELS = ("_exact_sums", "_moment_series")
 
 # trimmed arguments so the whole matrix stays fast
 FAST_ARGS = {
@@ -94,8 +97,8 @@ class TestCsvOutput:
         # a grid larger than the xi store: the delta column comes from the xi column in hand
         monkeypatch.setattr(pbt, "_STORE_SIZE", 8)
         pbt._store.clear()
-        window, rows = pbt._window, []
-        monkeypatch.setattr(pbt, "_window", lambda M: rows.append(M) or window(M))
+        exact, rows = pbt._exact_sums, []
+        monkeypatch.setattr(pbt, "_exact_sums", lambda ports: rows.extend(ports.tolist()) or exact(ports))
         code, out = _run(["--precision", "17", "xi-table", "--m-max", "40"], capsys)
         assert code == 0 and sorted(rows) == list(range(2, 41))
         for line in out.strip().split("\n")[1:]:
@@ -182,15 +185,16 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, unreached",
         [
-            (["keyrate", "--e-r-list", "1e-25"], "_window"),  # argmin_M 30151074504523
-            (["ad-sweep", "--m-list", "9223372036854775808"], "_window"),
-            (["xi-table", "--m-max", "10000000001"], "_series"),  # rejected before the range
+            (["keyrate", "--e-r-list", "1e-25"], _KERNELS),  # argmin_M 30259696881948
+            (["ad-sweep", "--m-list", "9223372036854775808"], _KERNELS),
+            (["xi-table", "--m-max", "10000000001"], ("_series",)),  # rejected before the range
         ],
         ids=["keyrate", "ad-sweep", "xi-table"],
     )
     def test_port_count_above_the_kernel_limit_exits_one(self, argv, unreached, capsys, monkeypatch):
-        # rejected before any kernel pass, which would need GBs at such port counts
-        monkeypatch.setattr(pbt, unreached, lambda *a: pytest.fail(f"{unreached} reached"))
+        # rejected before any kernel pass: the series is pinned only up to 10**10
+        for name in unreached:
+            monkeypatch.setattr(pbt, name, lambda *a, name=name: pytest.fail(f"{name} reached"))
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -214,6 +218,19 @@ class TestExitCodes:
         code, out = _run(["xi-table", "--m-min", "2", "--m-max", "4"], capsys)
         assert code == 0 and len(out.splitlines()) == 4
         assert main(["xi-table", "--m-min", "2", "--m-max", "5"]) == 1
+
+    def test_xi_table_at_the_top_of_the_port_range_runs_small(self, capsys):
+        # 1000 new port counts at 10**10: the series costs the same at any M
+        pbt._store.clear()
+        tracemalloc.start()
+        try:
+            code = main(["xi-table", "--m-min", "9999999001", "--m-max", "10000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0 and len(out.splitlines()) == 1001
+        assert peak < 20 * 2**20
 
     @pytest.mark.parametrize("command", ["ad-sweep", "resolution", "illumination", "metrology"])
     def test_steps_above_the_row_limit_exits_one(self, command, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Closed-form teleportation quantities and simulated-channel Choi matrices."""
 
-from math import sqrt
+from fractions import Fraction
+from math import comb, sqrt, ulp
 
 import mpmath as mp
 import numpy as np
@@ -34,7 +35,12 @@ XI_REFERENCE = {
 
 
 def xi_mpmath(M):
-    """xi_M at 40 digits, summed outward from the central binomial (test oracle).
+    """xi_M at 40 digits, rounded to a float (test oracle)."""
+    return float(_xi_mp(M))
+
+
+def _xi_mp(M):
+    """xi_M at 40 digits, summed outward from the central binomial.
 
     Terms follow from C(M, k-1) = C(M, k) k / (M-k+1), an exact ratio
     recurrence, and the sum stops once a term falls below 1e-30 of the total,
@@ -55,7 +61,65 @@ def xi_mpmath(M):
             binom = binom * k / (M - k + 1)
             k -= 1
             two_s += 2
-        return float(total)
+        return total
+
+
+def _bernoulli(n):
+    """B_0 .. B_n as Fractions, from sum_k C(m+1, k) B_k = 0 (B_1 = -1/2)."""
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum(comb(m + 1, k) * B[k] for k in range(m)) / (m + 1))
+    return B
+
+
+def _poly_add(p, q, c=1):
+    """p + c q for coefficient lists, lowest degree first."""
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + c * (q[i] if i < len(q) else 0) for i in range(n)]
+
+
+def xi_series_coefficients(terms=16):
+    """Exact c_1 .. c_terms of xi_M ~ sum_j c_j x^j, x = 1/(M + 2).
+
+    S = M - 2k is a sum of M independent signs, whose cumulants are M times
+    kappa_2m = 2^2m (2^2m - 1) B_2m / (2m), the odd ones 0; its moments follow
+    as polynomials in M from mu_n = sum_k C(n-1, k-1) kappa_k mu_(n-k). With
+    N = M + 2 and r(u) = (1 - sqrt(1 - u)) / (u (1 - u)) = sum_j r_j u^j,
+    xi_M - N 2^(1-M)/3 = (2/3) sum_j r_j (E S^(2j+4) - E S^(2j+2)) / N^(2j+3),
+    and the term j adds to x^(j+1) .. x^(2j+3) once M = N - 2.
+    """
+    B = _bernoulli(2 * terms + 2)
+    kappa = {2 * m: Fraction(4**m * (4**m - 1)) * B[2 * m] / (2 * m) for m in range(1, terms + 2)}
+    mu = {0: [Fraction(1)]}  # E[S^n] as a polynomial in M
+    for n in range(1, 2 * terms + 3):
+        mu[n] = [Fraction(0)]
+        for k in range(2, n + 1, 2):
+            mu[n] = _poly_add(mu[n], [0, *mu[n - k]], comb(n - 1, k - 1) * kappa[k])
+    sqrt_coeffs = [Fraction(1)]  # (-1)^n C(1/2, n): sqrt(1 - u) = sum_n sqrt_coeffs[n] u^n
+    for n in range(1, terms + 2):
+        sqrt_coeffs.append(sqrt_coeffs[-1] * (n - Fraction(3, 2)) / n)
+    r = [-sum(sqrt_coeffs[1:j + 2]) for j in range(terms)]
+    c = [Fraction(0)] * (2 * terms + 4)
+    for j in range(terms):
+        in_m = _poly_add(mu[2 * j + 4], mu[2 * j + 2], -1)
+        for i, a in enumerate(in_m):  # M^i = (N - 2)^i
+            for l in range(i + 1):
+                c[2 * j + 3 - l] += Fraction(2, 3) * r[j] * a * comb(i, l) * (-2) ** (i - l)
+    return c[1:terms + 1]
+
+
+def xi_series_mp(M):
+    """The 16-term series in exact coefficients at 40 digits: xi_M to far below a
+    float's last bit once M >= 1e8, where the next term is under 1e-136."""
+    with mp.workdps(40):
+        x = 1 / mp.mpf(M + 2)
+        return sum(mp.mpf(c.numerator) / c.denominator * x ** (j + 1)
+                   for j, c in enumerate(xi_series_coefficients()))
+
+
+def ulps(value, ref):
+    """|value - ref| in units of value's last place."""
+    return float(abs(mp.mpf(value) - ref) / ulp(value))
 
 
 def fe_mpmath(M):
@@ -101,15 +165,9 @@ class TestXi:
         pbt._store.clear()
         assert [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms] == before
 
-    def test_strictly_decreasing_across_binomial_switch(self):
-        # ranges around the switches of earlier windows (M = 4096, 6400)
-        for lo, hi in ((2, 80), (4000, 4200), (6300, 6500)):
-            values = [xi(M) for M in range(lo, hi + 1)]
-            assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_strictly_decreasing_across_window_cut(self):
-        # from M = 2834 on the window stops before k = 0, where the weights fall below e^-708
-        values = [xi(M) for M in range(2700, 2901)]
+    def test_strictly_decreasing_across_the_series_switch(self):
+        # the exact sums up to M = 99, the moment series from M = 100 on
+        values = [xi(M) for M in range(2, 161)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_inverse_port_scaling(self):
@@ -125,10 +183,35 @@ class TestXi:
         ref = xi_mpmath(M)
         assert abs(xi(M) - ref) <= 1e-14 * ref
 
+    @pytest.mark.parametrize(
+        "M", [99, 100, 101, 127, 400, *(round(10 ** (2 + k / 6)) for k in range(1, 25))]
+    )
+    def test_series_within_one_and_a_half_ulp_of_mpmath(self, M):
+        # 1.38 ulp at worst over every M in 100..400; 99 is the last exact sum
+        assert ulps(xi(M), _xi_mp(M)) <= 1.4
+
+    def test_exact_sums_within_four_and_a_half_ulp_of_mpmath(self):
+        # 4.27 ulp at worst (M = 9); the series would be 10.8 ulp off at M = 80
+        assert max(ulps(xi(M), _xi_mp(M)) for M in range(2, 100)) <= 4.5
+
+    @pytest.mark.parametrize("M", [10**8, 10**10])
+    def test_series_at_the_top_of_the_port_range(self, M):
+        ref = xi_series_mp(M)
+        assert ulps(xi(M), ref) <= 1.4
+        assert abs(entanglement_fidelity_qubit(M) - (1 - 0.75 * ref)) <= 1e-14 * (1 - 0.75 * ref)
+
     @pytest.mark.parametrize("M", [1000, 10_000, 100_000, 1_000_000])
     def test_large_port_tail(self, M):
         # M xi_M = 1 - 3/(4M) + (15/8)/M^2 + O(M^-3)
         assert abs(M * xi(M) - (1 - 3 / (4 * M))) <= 3 / M**2
+
+
+def test_series_literals_are_the_rounded_exact_coefficients():
+    exact = xi_series_coefficients()
+    assert exact[:6] == [1, Fraction(5, 4), Fraction(23, 8), Fraction(695, 64),
+                         Fraction(7591, 128), Fraction(215145, 512)]
+    assert all(c.denominator & (c.denominator - 1) == 0 for c in exact)  # dyadic
+    assert pbt._XI_SERIES == tuple(map(float, exact))  # float(Fraction) rounds correctly
 
 
 class TestEntanglementFidelity:
@@ -151,6 +234,12 @@ class TestEntanglementFidelity:
     def test_relative_error_vs_mpmath(self, M):
         ref = fe_mpmath(M)
         assert abs(entanglement_fidelity_qubit(M) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("M", [2, 3, 37, 100, 250])
+    def test_closed_form_is_one_minus_three_quarters_xi(self, M):
+        # the identity the kernel uses from M = 100 on, between the two 50-digit sums
+        with mp.workdps(50):
+            assert abs(mp.mpf(fe_mpmath(M)) - (1 - 0.75 * _xi_mp(M))) <= mp.mpf(2) ** -53
 
     def test_identity_with_xi(self):
         for M in range(2, 31):
@@ -332,11 +421,10 @@ def test_delta_ad_never_exceeds_delta(M, p):
     assert delta_ad(M, p) <= delta_exact_qubit(M) + 1e-12
 
 
-# port counts from the small-M batch, around the window's cut (M = 2834),
-# around M = 4096 and 6400, and around 1e5
+# port counts of the exact sums and the series, around the switch at M = 100,
+# around 1e5 and at the top of the port range
 _PORTS = st.one_of(
-    st.integers(2, 200), st.integers(2826, 2841), st.integers(4090, 4100),
-    st.integers(6395, 6405), st.integers(99_990, 100_010),
+    st.integers(2, 200), st.integers(99_990, 100_010), st.integers(10**10 - 10, 10**10),
 )
 
 
@@ -379,7 +467,8 @@ def test_numpy_port_counts_read_and_fill_the_int_entry(dtype):
 
 
 def _no_kernel_pass(monkeypatch):
-    monkeypatch.setattr(pbt, "_window", lambda M: pytest.fail(f"kernel pass for M = {M}"))
+    for name in ("_exact_sums", "_moment_series"):
+        monkeypatch.setattr(pbt, name, lambda ports: pytest.fail(f"kernel pass for M = {ports}"))
 
 
 def test_grid_call_fills_the_store(monkeypatch):
@@ -439,7 +528,7 @@ _LIMIT_ERROR = r"^port count {} must be an integer in \[2, 10000000000\]$"
     ],
 )
 def test_port_count_above_the_limit_is_rejected_before_any_pass(call, bad, monkeypatch):
-    # a window of about 18.8 sqrt(M) entries per port count: 1e12 ports would take GBs
+    # the series is pinned against mpmath only up to 10**10
     _no_kernel_pass(monkeypatch)
     with pytest.raises(ValueError, match=_LIMIT_ERROR.format(bad)):
         call(bad)
@@ -449,10 +538,10 @@ def test_port_count_at_the_limit_passes_the_check(monkeypatch):
     class Reached(Exception):
         pass
 
-    def reached(M):
-        raise Reached(M)
+    def reached(ports):
+        raise Reached(ports)
 
     monkeypatch.setattr(pbt, "_store", {})
-    monkeypatch.setattr(pbt, "_window", reached)
+    monkeypatch.setattr(pbt, "_moment_series", reached)
     with pytest.raises(Reached):
         xi(10**10)

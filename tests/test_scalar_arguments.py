@@ -219,6 +219,7 @@ def test_wrapping_numpy_integers_give_the_python_numbers():
     assert P.oracle_xi(np.uint8(3)) == P.oracle_xi(3)
     assert type(P.resolution_fidelity(np.float32(0.01), 0.5)) is float
     assert type(P.delta_ad(10, np.float32(0.3))) is float
+    assert type(P.oracle_xi(3)) is type(P.xi(3)) is float
 
 
 @pytest.mark.parametrize("value", [2**53 + 1, pytest.param(10**400, id="10**400")])
