@@ -6,19 +6,17 @@ diamond-norm simulation errors delta_M and Delta_M(p), and the Choi matrices
 of the simulated channels, which are linear in each channel's own Choi matrix
 because the M-port qubit channel is depolarizing.
 
-xi_M and f_e(M) come from one kernel, _series: exact binomial sums below 100
-ports; from 100 on a 16-term moment series for xi_M, within 1.4 ulp of mpmath,
-and f_e = 1 - 3 xi_M / 4. It checks every port count and keeps the pair per M in
-a store of at most _STORE_SIZE = 4096 port counts (under 1 MB), which the scalar
-xi and entanglement_fidelity_qubit read and the bound optimiser, the damping sweep
-and the CLI tables fill with a whole grid per call. A value is the same bits
-whether computed alone or in any grid, stored or recomputed after a clear.
+xi_M and f_e(M) come from one kernel, _series, which checks every port count:
+below 100 ports both are read from one table of exact binomial sums, built on
+first use; from 100 on a 16-term moment series for xi_M, within 1.4 ulp of
+mpmath, runs in O(1) per port count, and f_e = 1 - 3 xi_M / 4. A value is the
+same bits whether computed alone or in any grid.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
+from functools import cache
 from math import inf, sqrt
 
 import numpy as np
@@ -36,9 +34,6 @@ _XI_SERIES = (1.0, 1.25, 2.875, 10.859375, 59.3046875, 420.205078125, 3625.20996
               36715.762634277344, 426288.49447631836, 5577426.5575790405, 81156782.94995499,
               1299645421.9053626, 22709970275.59639, 429934842884.4808, 8765178533123.627,
               191443578686870.97)
-# Most (xi_M, f_e(M)) pairs the store of _series holds, keyed by M.
-_STORE_SIZE = 4096
-_store: dict[int, tuple[float, float]] = {}
 _DELTA_PER_XI = 1.5  # delta_M / xi_M at d = 2: the qubit simulation error is (3/2) xi_M
 
 
@@ -84,27 +79,29 @@ def _moment_series(ports: Array) -> tuple[Array, Array]:
     return xi, 1.0 - 0.75 * xi
 
 
+@cache
+def _exact_table() -> Array:
+    """(xi_M, f_e(M)) for M = 2 .. 99 in column M - 2: one _exact_sums pass on first use, read-only."""
+    table = np.stack(_exact_sums(np.arange(2, _SERIES_FROM)))
+    table.flags.writeable = False
+    return table
+
+
 def _series(Ms: Sequence[int]) -> Array:
     """xi_M and f_e(M) for each port count of Ms, as the rows of a fresh (2, len(Ms)) array.
 
     Every port count is checked, in order and before any is computed, to be an
-    integer in [2, _MAX_PORTS] (10**10), and kept as a Python int. Those in the
-    store are read; the missing ones, each once, go through _exact_sums or
-    _moment_series, one numpy pass each, elementwise in M, and are stored. A pass
-    that would take the store past _STORE_SIZE empties it first, and of more
-    than _STORE_SIZE new port counts only the first _STORE_SIZE are kept.
+    integer in [2, _MAX_PORTS] (10**10), and enters an int64 array as the Python
+    int it checked. Those below _SERIES_FROM are read from _exact_table; the
+    others go through _moment_series in one numpy pass, elementwise in M.
     """
-    Ms = [_check_int(M, "port count", 2, _MAX_PORTS) for M in Ms]
-    pairs = {M: _store.get(M) for M in Ms}
-    new = [M for M, pair in pairs.items() if pair is None]
-    for kernel, ports in ((_exact_sums, [M for M in new if M < _SERIES_FROM]),
-                          (_moment_series, [M for M in new if M >= _SERIES_FROM])):
-        if ports:
-            pairs.update(zip(ports, zip(*(v.tolist() for v in kernel(np.array(ports))))))
-    if len(_store) + len(new) > _STORE_SIZE:
-        _store.clear()
-    _store.update((M, pairs[M]) for M in new[:_STORE_SIZE])
-    return np.fromiter(chain.from_iterable(pairs[M] for M in Ms), float, 2 * len(Ms)).reshape(-1, 2).T
+    ports = np.array([_check_int(M, "port count", 2, _MAX_PORTS) for M in Ms], dtype=np.int64)
+    out, small = np.empty((2, len(ports))), ports < _SERIES_FROM
+    if small.any():
+        out[:, small] = _exact_table()[:, ports[small] - 2]
+    if not small.all():
+        out[:, ~small] = _moment_series(ports[~small])
+    return out
 
 
 def xi(M: int) -> float:
@@ -156,7 +153,7 @@ def _simulation_errors(Ms: Sequence[int], d: int) -> tuple[Array, str]:
     """simulation_error over a grid of port counts: one array of delta_M, one provenance.
 
     The dimension is checked before the port counts. For d > 2 the port counts
-    are only checked: xi_M is neither computed nor stored.
+    are only checked: xi_M is not computed.
     """
     d = _check_int(d, "dimension", 2)
     if d == 2:

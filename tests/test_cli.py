@@ -93,14 +93,20 @@ class TestCsvOutput:
             assert float(cells[1]) == pytest.approx(pbt.xi(6), rel=rel)
             assert float(cells[3]) == pytest.approx(delta_exact_qubit(6), rel=rel)
 
-    def test_xi_table_past_the_store_runs_each_port_count_once(self, capsys, monkeypatch):
-        # a grid larger than the xi store: the delta column comes from the xi column in hand
-        monkeypatch.setattr(pbt, "_STORE_SIZE", 8)
-        pbt._store.clear()
-        exact, rows = pbt._exact_sums, []
-        monkeypatch.setattr(pbt, "_exact_sums", lambda ports: rows.extend(ports.tolist()) or exact(ports))
-        code, out = _run(["--precision", "17", "xi-table", "--m-max", "40"], capsys)
-        assert code == 0 and sorted(rows) == list(range(2, 41))
+    def test_xi_table_runs_each_port_count_once(self, capsys, monkeypatch):
+        # each port count goes through one kernel once: the delta column comes from the xi column in hand
+        pbt._exact_table.cache_clear()
+        rows = {}
+        for name in _KERNELS:
+            kernel = getattr(pbt, name)
+            monkeypatch.setattr(pbt, name, lambda ports, kernel=kernel, name=name:
+                                rows.setdefault(name, []).extend(ports.tolist()) or kernel(ports))
+        try:
+            code, out = _run(["--precision", "17", "xi-table", "--m-min", "60", "--m-max", "140"], capsys)
+        finally:
+            pbt._exact_table.cache_clear()
+        assert code == 0
+        assert rows == {"_exact_sums": list(range(2, 100)), "_moment_series": list(range(100, 141))}
         for line in out.strip().split("\n")[1:]:
             M, _, _, delta = line.split(",")[:4]
             assert float(delta) == delta_exact_qubit(int(M))
@@ -206,7 +212,7 @@ class TestExitCodes:
     )
     def test_xi_table_above_the_row_limit_exits_one(self, m_min, m_max, capsys, monkeypatch):
         # every port count is within the kernel's limit, but the range is
-        # rejected before the kernel checks or stores a member
+        # rejected before the kernel checks a member
         monkeypatch.setattr(pbt, "_series", lambda *a: pytest.fail("_series reached"))
         assert main(["xi-table", "--m-min", str(m_min), "--m-max", str(m_max)]) == 1
         captured = capsys.readouterr()
@@ -220,8 +226,7 @@ class TestExitCodes:
         assert main(["xi-table", "--m-min", "2", "--m-max", "5"]) == 1
 
     def test_xi_table_at_the_top_of_the_port_range_runs_small(self, capsys):
-        # 1000 new port counts at 10**10: the series costs the same at any M
-        pbt._store.clear()
+        # 1000 port counts at 10**10: the series costs the same at any M
         tracemalloc.start()
         try:
             code = main(["xi-table", "--m-min", "9999999001", "--m-max", "10000000000"])

@@ -1,7 +1,11 @@
 """Closed-form teleportation quantities and simulated-channel Choi matrices."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, sqrt, ulp
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -145,7 +149,7 @@ class TestXi:
             xi(2.5)
 
     def test_rejects_invalid_ports_after_valid_calls(self):
-        # the store must neither keep a failed check nor let an equal float hit it
+        # earlier valid calls must not let a failed check or an equal float through
         xi(2)
         xi(3)
         for bad in (1, 2.5, 2.0):
@@ -154,7 +158,7 @@ class TestXi:
             with pytest.raises(ValueError):
                 entanglement_fidelity_qubit(bad)
 
-    def test_numpy_integer_ports_share_the_memo(self):
+    def test_numpy_integer_ports_give_the_int_values(self):
         for M in (2, 51, 4097):
             assert xi(np.int64(M)) == xi(M)
             assert entanglement_fidelity_qubit(np.int64(M)) == entanglement_fidelity_qubit(M)
@@ -162,7 +166,7 @@ class TestXi:
     def test_values_survive_cache_clear(self):
         Ms = (2, 7, 64, 4096, 4097, 100_000)
         before = [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms]
-        pbt._store.clear()
+        pbt._exact_table.cache_clear()
         assert [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms] == before
 
     def test_strictly_decreasing_across_the_series_switch(self):
@@ -429,19 +433,20 @@ _PORTS = st.one_of(
 
 
 def _lone(M):
-    """(xi_M, f_e(M)) computed on its own, from an empty store."""
-    pbt._store.clear()
-    return xi(M), entanglement_fidelity_qubit(M)
+    """(xi_M, f_e(M)) from a one-element pass of the kernel that serves M."""
+    kernel = pbt._exact_sums if M < pbt._SERIES_FROM else pbt._moment_series
+    return tuple(float(v[0]) for v in kernel(np.array([M])))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_PORTS, min_size=1, max_size=30))
 def test_grid_members_equal_scalar_calls(grid):
     # unsorted, possibly repeated, mixed-width grids, computed together: each
-    # member is the value of a lone computation bit for bit
-    pbt._store.clear()
+    # member is the value of a lone computation and of the scalar calls bit for bit
+    lone = [_lone(M) for M in grid]
     xis, fes = pbt._series(grid)
-    assert list(zip(xis.tolist(), fes.tolist())) == [_lone(M) for M in grid]
+    assert list(zip(xis.tolist(), fes.tolist())) == lone
+    assert [(xi(M), entanglement_fidelity_qubit(M)) for M in grid] == lone
 
 
 def test_grid_checks_every_port_count():
@@ -457,11 +462,8 @@ def test_grid_checks_every_port_count():
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64, np.int64])
 def test_numpy_port_counts_read_and_fill_the_int_entry(dtype):
     ref = _lone(100)
-    pbt._store.clear()
     assert xi(dtype(100)) == ref[0]
-    assert pbt._store == {100: ref} and all(type(M) is int for M in pbt._store)
     assert xi(100) == ref[0] and entanglement_fidelity_qubit(dtype(100)) == ref[1]
-    pbt._store.clear()
     xis, fes = pbt._series(np.array([100, 7, 100], dtype=dtype))
     assert list(zip(xis.tolist(), fes.tolist())) == [ref, _lone(7), ref]
 
@@ -471,48 +473,46 @@ def _no_kernel_pass(monkeypatch):
         monkeypatch.setattr(pbt, name, lambda ports: pytest.fail(f"kernel pass for M = {ports}"))
 
 
-def test_grid_call_fills_the_store(monkeypatch):
-    pbt._store.clear()
+def test_grid_call_returns_the_callers_array():
     grid = [5, 64, 2900, 100_000, 64]
-    xis, fes = pbt._series(grid)
-    xis[0] = fes[0] = 0.0  # the arrays are the caller's, not the store's
-    _no_kernel_pass(monkeypatch)
-    assert [(xi(M), entanglement_fidelity_qubit(M)) for M in grid[1:]] == list(zip(xis[1:], fes[1:]))
-    assert xi(5) > 0.0 and pbt.pbt_choi_qubit(5).matrix[1, 1] == xi(5) / 4
+    got = pbt._series(grid)
+    ref = got.copy()
+    got[:] = 0.0  # the array is the caller's, not the table's
+    assert pbt._series(grid).tolist() == ref.tolist()
+    assert [(xi(M), entanglement_fidelity_qubit(M)) for M in grid] == list(zip(*ref.tolist()))
+    assert pbt.pbt_choi_qubit(5).matrix[1, 1] == ref[0, 0] / 4
 
 
-def test_upper_bound_grid_leaves_the_store_unchanged(monkeypatch):
-    xi(7)
-    before = dict(pbt._store)
+def test_upper_bound_grid_runs_no_kernel_pass_and_builds_no_table(monkeypatch):
+    pbt._exact_table.cache_clear()
     _no_kernel_pass(monkeypatch)
     report = bound_B_optimized(2000, 3, 1.0 - 1e-10)
     assert report.params["delta_provenance"] == "upper_bound"
-    assert pbt._store == before
+    assert pbt._exact_table.cache_info().currsize == 0
 
 
-def test_store_never_passes_its_bound(monkeypatch):
-    monkeypatch.setattr(pbt, "_STORE_SIZE", 5)
-    pbt._store.clear()
-    calls = [[2], [3, 4, 3], [5, 6], [2, 7], range(10, 22), [100_000]]
-    got = []
-    for Ms in calls:
-        got.append(pbt._series(Ms).tolist())
-        assert len(pbt._store) <= 5
-        if Ms == range(10, 22):  # more new port counts than the bound: the first five stay
-            assert sorted(pbt._store) == [10, 11, 12, 13, 14]
-    for Ms, (xis, fes) in zip(calls, got):
-        assert list(zip(xis, fes)) == [_lone(M) for M in Ms]
+def test_exact_table_columns_equal_lone_exact_sums():
+    table = pbt._exact_table()
+    assert table.shape == (2, 98)
+    for M in range(2, 100):
+        assert table[:, M - 2].tolist() == [float(v[0]) for v in pbt._exact_sums(np.array([M]))]
 
 
-def test_values_identical_after_the_store_empties(monkeypatch):
-    monkeypatch.setattr(pbt, "_STORE_SIZE", 8)
-    Ms = [2, 63, 64, 2834, 4097, 100_000]
-    pbt._store.clear()
-    before = pbt._series(Ms).tolist()
-    pbt._series(range(200, 204))  # 6 + 4 > 8: the store empties before these are kept
-    assert sorted(pbt._store) == [200, 201, 202, 203]
-    assert pbt._series(Ms).tolist() == before
-    assert [xi(M) for M in Ms] == before[0]
+def test_series_from_100_on_builds_no_table():
+    pbt._exact_table.cache_clear()
+    pbt._series([100, 4097, 10**10])
+    xi(100_000)
+    assert pbt._exact_table.cache_info().currsize == 0
+
+
+def test_import_builds_no_table():
+    # the table is built on first use: importing the package (as a launcher does) costs nothing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import pbtbounds, pbtbounds.cli; print(pbtbounds.pbt._exact_table.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
 _LIMIT_ERROR = r"^port count {} must be an integer in \[2, 10000000000\]$"
@@ -541,7 +541,6 @@ def test_port_count_at_the_limit_passes_the_check(monkeypatch):
     def reached(ports):
         raise Reached(ports)
 
-    monkeypatch.setattr(pbt, "_store", {})
     monkeypatch.setattr(pbt, "_moment_series", reached)
     with pytest.raises(Reached):
         xi(10**10)
