@@ -85,10 +85,9 @@ def cmd_xi_table(args: argparse.Namespace) -> list[dict]:
             f"xi-table prints at most {_MAX_ROWS} rows, got [{args.m_min}, {args.m_max}]"
         )
     grid = range(args.m_min, args.m_max + 1)
-    xis, fes = pbt._series(grid)
-    deltas = pbt._DELTA_PER_XI * xis  # as pbt._simulation_errors(grid, 2), from the xi in hand
     rows = []
-    for M, x, fe, delta in zip(grid, xis.tolist(), fes.tolist(), deltas.tolist()):
+    for M, x, fe in zip(grid, *pbt._series(grid)):
+        delta = pbt._DELTA_PER_XI * x  # as pbt._simulation_errors(grid, 2), from the xi in hand
         rows.append({
             "M": M, "xi": x, "f_e": fe, "delta": delta, "delta_upper": pbt.delta_upper(M, 2),
             "M_xi": M * x, "identity_ok": abs(fe + delta / 2 - 1) < 1e-10,
@@ -101,7 +100,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> list[dict]:
         raise ValueError(f"M_max {args.m_max} outside [2, {pbt_oracle.M_MAX}]")
     grid = range(2, args.m_max + 1)
     rows = []
-    for M, closed in zip(grid, pbt._series(grid)[0].tolist()):
+    for M, closed in zip(grid, pbt._series(grid)[0]):
         J = pbt_oracle.oracle_channel_choi(M).matrix
         oracle = pbt_oracle._isotropic_fit(J)
         rows.append({

@@ -143,7 +143,7 @@ def ad_discrimination_sweep(
         raise ValueError("parameter grids must be nonempty")
     dp = _check_interval(dp, "damping separation", 0, inf)
     grid = [*M_grid, *default_m_grid(n, 2)]
-    xi_of = dict(zip(grid, _series(grid)[0].tolist()))  # the kernel checks M_grid first, in order
+    xi_of = dict(zip(grid, _series(grid)[0]))  # the kernel checks M_grid first, in order
     opt_grid = sorted(map(int, xi_of))
     xis = np.array([xi_of[M] for M in opt_grid])
     p_grid = [_check_interval(p, "damping probability", 0, 1) for p in p_grid]

@@ -122,6 +122,14 @@ def fidelity(rho, sigma) -> float | Array:
     matrix first would square the noise floor and then take its square root.
     Two matrices give a float; two stacks of one shape (..., n, n) give the
     array (...) of member-wise fidelities, each equal to the single-pair value.
+
+    Accuracy: within 1e-14 absolute of 40-digit mpmath closed forms (1.2e-15 at
+    worst) on the damping Choi pairs (p, p + dp), dp down to 1e-6, and on the
+    resolution Choi pairs over (eta, s), where every nonzero eigenvalue of both
+    states lies above TOL_PSD. psd_sqrt zeroes eigenvalues below TOL_PSD, so a
+    state with nonzero eigenvalues there loses their share: the generic
+    illumination route (eigenvalues b/(d + 1)) is up to 8e-6 off the closed
+    form at b = 1e-9.
     """
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:

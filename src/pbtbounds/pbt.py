@@ -7,17 +7,17 @@ of the simulated channels, which are linear in each channel's own Choi matrix
 because the M-port qubit channel is depolarizing.
 
 xi_M and f_e(M) come from one kernel, _series, which checks every port count:
-below 100 ports both are read from one table of exact binomial sums, built on
-first use; from 100 on a 16-term moment series for xi_M, within 1.4 ulp of
-mpmath, runs in O(1) per port count, and f_e = 1 - 3 xi_M / 4. A value is the
-same bits whether computed alone or in any grid.
+below 100 ports both are read from _EXACT, a literal table of their exact
+binomial sums that the tests re-derive bit for bit; from 100 on a 16-term
+moment series for xi_M, within 1.4 ulp of mpmath, runs in O(1) per port count
+in plain floats, and f_e = 1 - 3 xi_M / 4. A value is the same bits whether
+computed alone or in any grid.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cache
-from math import inf, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -35,73 +35,93 @@ _XI_SERIES = (1.0, 1.25, 2.875, 10.859375, 59.3046875, 420.205078125, 3625.20996
               1299645421.9053626, 22709970275.59639, 429934842884.4808, 8765178533123.627,
               191443578686870.97)
 _DELTA_PER_XI = 1.5  # delta_M / xi_M at d = 2: the qubit simulation error is (3/2) xi_M
+# (xi_M, f_e(M)) for M = 2 .. 99 at index M - 2, two port counts a line: the binomial sums
+# (xi within 4.5 ulp of mpmath) as _exact_sums in tests/conftest.py computes them, bit for bit
+_EXACT = (
+    (0.7113248654051871, 0.4665063509461097), (0.5, 0.625),
+    (0.3562148075158894, 0.7328388943630829), (0.2615193830873702, 0.8038604626844722),
+    (0.19970345096376702, 0.8502224117771746), (0.15901858783223388, 0.8807360591258246),
+    (0.13165528568208, 0.9012585357384401), (0.11265504923997526, 0.9155087130700188),
+    (0.09894642926433701, 0.9257901780517471), (0.0886477381864951, 0.9335141963601287),
+    (0.08060676270258954, 0.939544927973058), (0.0741118542852512, 0.9444161092860616),
+    (0.06871594522471688, 0.9484630410814624), (0.06413122840920693, 0.9519015786930951),
+    (0.060166688922778745, 0.9548749833079161), (0.05669112220927662, 0.9574816583430426),
+    (0.05361114187842721, 0.9597916435911796), (0.05085796164815773, 0.9618565287638817),
+    (0.04837931776201924, 0.9637155116784856), (0.046134421967226565, 0.9653991835245802),
+    (0.044090721988619054, 0.9669319585085356), (0.042221758349595184, 0.9683336812378035),
+    (0.04050570082598621, 0.9696207243805104), (0.03892431728009786, 0.9708067620399264),
+    (0.03746222562676858, 0.9719033307799235), (0.03610633687715079, 0.972920247342137),
+    (0.03484543103149622, 0.9738659267263778), (0.03366982795216887, 0.9747476290358734),
+    (0.032571127869192376, 0.9755716540981058), (0.03154200406346345, 0.9763434969524025),
+    (0.030576035383339632, 0.9770679734624952), (0.029667569652035108, 0.9777493227609737),
+    (0.028811611349643978, 0.978391291487767), (0.02800372858548293, 0.978997203560888),
+    (0.027239975547716597, 0.9795700183392126), (0.02651682747503394, 0.9801123793937246),
+    (0.025831125834406745, 0.9806266556241948), (0.025180031872495984, 0.9811149760956279),
+    (0.02456098707868472, 0.9815792596909866), (0.023971679384577747, 0.9820212404615669),
+    (0.02341001414906764, 0.9824424893881996), (0.022874089154844013, 0.982844433133867),
+    (0.02236217298260091, 0.9832283702630492), (0.021872686241414627, 0.9835954853189389),
+    (0.021404185224016718, 0.9839468610819875), (0.020955347628682085, 0.9842834892784881),
+    (0.020524960048799317, 0.9846062799634002), (0.020111906979678126, 0.9849160697652415),
+    (0.019715161131948575, 0.9852136291510385), (0.01933377487371861, 0.9854996688447111),
+    (0.01896687265081955, 0.9857748455118853), (0.0186136442570477, 0.9860397668072144),
+    (0.018273338845146644, 0.9862949958661401), (0.017945259585049278, 0.986541055311213),
+    (0.017628758889153124, 0.9867784308331352), (0.01732323413557807, 0.9870075743983162),
+    (0.017028123829808277, 0.9872289071276437), (0.01674290415314018, 0.9874428218851449),
+    (0.01646708585318404, 0.9876496856101118), (0.01620021143749107, 0.9878498414218814),
+    (0.0159418526363637, 0.9880436105227269), (0.01569160810518404, 0.9882312939211119),
+    (0.015449101340276186, 0.9884131739947929), (0.015213978785491912, 0.9885895159108808),
+    (0.01498590810945396, 0.9887605689179098), (0.014764576635768911, 0.9889265675231733),
+    (0.014549689910587492, 0.9890877325670595), (0.014340970393688006, 0.9892442722047341),
+    (0.014138156260826927, 0.9893963828043797), (0.013941000306471689, 0.9895442497701463),
+    (0.013749268937231168, 0.9896880482970766), (0.013562741247353459, 0.9898279440644847),
+    (0.013381208168586357, 0.9899640938735601), (0.01320447168751234, 0.9900966462343654),
+    (0.013032344124189686, 0.9902257419068575), (0.012864647466567574, 0.9903515144000745),
+    (0.012701212755706631, 0.9904740904332201), (0.01254187951733605, 0.990593590361998),
+    (0.012386495235722076, 0.9907101285732086), (0.012234914866217556, 0.9908238138503369),
+    (0.012087000383214036, 0.9909347497125894), (0.011942620360531784, 0.9910430347296011),
+    (0.011801649581563448, 0.9911487628138275), (0.011663968676738119, 0.9912520234924466),
+    (0.011529463786097413, 0.9913529021604269), (0.011398026244976885, 0.9914514803162675),
+    (0.011269552290967265, 0.9915478357817747), (0.011143942790493258, 0.9916420429071304),
+    (0.011021102983494105, 0.9917341727623797), (0.010900942244822888, 0.991824293316383),
+    (0.010783373861100757, 0.9919124696041742), (0.010668314821870426, 0.9919987638835971),
+    (0.010555685623991057, 0.9920832357820069), (0.010445410088305072, 0.9921659424337714),
+    (0.010337415187687785, 0.9922469386092339), (0.010231630885663694, 0.9923262768357524),
+    (0.010127989984839264, 0.9924040075113706), (0.010026427984462625, 0.9924801790116531),
+)
 
 
-def _exact_sums(ports: Array) -> tuple[Array, Array]:
-    """xi_M and f_e(M) by their binomial sums, for port counts 2 <= M < _SERIES_FROM.
-
-    Both run over k = M//2 .. 0 in t = M - 2k (= 2s + 1 for xi's spins), since
-    f_e's summand is symmetric under k -> M - k, in rows of 64 entries. The
-    log-weights are cumulative sums of log C(M, k-1) / C(M, k) taken outward
-    from the centre, which keeps the rounding of the large central weights at a
-    few ulp; none is below e^-69, and a -inf after k = 0 makes every padded one 0.
-    """
-    M = ports[:, None].astype(float)
-    t = np.minimum(M % 2 + np.arange(0.0, 128.0, 2.0), M)  # k = M//2 - j, clipped at k = 0
-    tm, tp, am, ap = t - 1, t + 1, (M + 2) - t, (M + 2) + t  # am = 2(k + 1), ap = 2(M - k + 1)
-    # log C(M, k) / C(M, k + 1) = log1p((1 - t) / ((M + t) / 2)), summed outward from t = M % 2
-    log_w = np.log1p(-2 * tm / (ap - 2))
-    log_w[:, 0] = 0.0
-    log_w[np.arange(len(ports)), ports // 2 + 1] = -inf
-    w = np.exp(log_w.cumsum(axis=-1))
-    a, b = np.sqrt(am), np.sqrt(ap)
-    # xi: (t^2 - 1) t^2 / (g ((M+2) + sqrt(g))) with g = (M+2)^2 - t^2 = am ap, no cancellation
-    x_terms = tm * tp * (t * t) * w / (am * ap * ((M + 2) + a * b))
-    # f_e: ((t - 1)/sqrt(k + 1) + (t + 1)/sqrt(M - k + 1))^2 = 2 ((t - 1)/a + (t + 1)/b)^2
-    g = tm / a + tp / b
-    # the upper half mirrors the lower one, and an even M's centre t = 0 counts once
-    norm = 2 * w.sum(axis=-1) - (1 - ports % 2)
-    # 16 w = C(M, k) / 2^(M-4) in xi; f_e doubles its half and takes 2 w / 8
-    xi = np.ldexp((ports + 2) / 3, 1 - ports) + 16 * (x_terms.sum(axis=-1) / norm) / 12
-    return xi, (g * g * w).sum(axis=-1) / norm / 2
-
-
-def _moment_series(ports: Array) -> tuple[Array, Array]:
-    """xi_M and f_e(M) = 1 - 3 xi_M / 4 (the depolarizing channel's) for M >= _SERIES_FROM.
+def _xi_series(M: int) -> float:
+    """xi_M for M >= _SERIES_FROM: 16 Horner steps in x = 1/(M + 2), in Python floats.
 
     With S = M - 2k a sum of M signs and N = M + 2, xi_M - N 2^(1-M) / 3 (under
     1e-26 of xi_M) is (2/3) E[(S^4 - S^2) r(S^2/N^2)] / N^3, r(u) = 1/((1 - u)(1 + sqrt(1 - u))):
     expanding r and collecting the moments of S in x = 1/N gives x + (5/4) x^2 + ....
     """
-    x, xi = 1.0 / (ports + 2.0), 0.0
+    x, xi = 1.0 / (M + 2.0), 0.0
     for c in reversed(_XI_SERIES):
         xi = (xi + c) * x
-    return xi, 1.0 - 0.75 * xi
+    return xi
 
 
-@cache
-def _exact_table() -> Array:
-    """(xi_M, f_e(M)) for M = 2 .. 99 in column M - 2: one _exact_sums pass on first use, read-only."""
-    table = np.stack(_exact_sums(np.arange(2, _SERIES_FROM)))
-    table.flags.writeable = False
-    return table
-
-
-def _series(Ms: Sequence[int]) -> Array:
-    """xi_M and f_e(M) for each port count of Ms, as the rows of a fresh (2, len(Ms)) array.
+def _series(Ms: Sequence[int]) -> tuple[list[float], list[float]]:
+    """xi_M and f_e(M) for each port count of Ms, as two fresh lists of floats.
 
     Every port count is checked, in order and before any is computed, to be an
-    integer in [2, _MAX_PORTS] (10**10), and enters an int64 array as the Python
-    int it checked. Those below _SERIES_FROM are read from _exact_table; the
-    others go through _moment_series in one numpy pass, elementwise in M.
+    integer in [2, _MAX_PORTS] (10**10), and is used as the Python int it
+    checked. Those below _SERIES_FROM are read from _EXACT; the others take
+    _xi_series and f_e = 1 - 3 xi_M / 4. No numpy call is made.
     """
-    ports = np.array([_check_int(M, "port count", 2, _MAX_PORTS) for M in Ms], dtype=np.int64)
-    out, small = np.empty((2, len(ports))), ports < _SERIES_FROM
-    if small.any():
-        out[:, small] = _exact_table()[:, ports[small] - 2]
-    if not small.all():
-        out[:, ~small] = _moment_series(ports[~small])
-    return out
+    ports = [_check_int(M, "port count", 2, _MAX_PORTS) for M in Ms]
+    xis, fes = [], []
+    for M in ports:
+        if M < _SERIES_FROM:
+            x, fe = _EXACT[M - 2]
+        else:
+            x = _xi_series(M)
+            fe = 1.0 - 0.75 * x
+        xis.append(x)
+        fes.append(fe)
+    return xis, fes
 
 
 def xi(M: int) -> float:
@@ -112,23 +132,26 @@ def xi(M: int) -> float:
     (M-1)/2, k = (M-1)/2 - s and g = (M+2)^2 - (2s+1)^2. The last factor is
     evaluated as (2s+1)^2 / (g ((M+2) + sqrt(g))), which has no cancellation.
 
-    Summed as it stands below 100 ports; from 100 on, a 16-term moment series
-    in 1/(M + 2) takes O(1) and is within 1.4 ulp of a 40-digit mpmath sum (M <= 1e6)
-    or of the exact series (up to the limit M = 10**10). Relative error is at most
-    1e-14 for every M; a member of any grid equals xi(M) bit for bit.
+    Below 100 ports the sum as it stands is read from a literal table, within
+    4.5 ulp of a 40-digit mpmath sum; the tests re-derive every entry bit for
+    bit. From 100 on, a 16-term moment series in 1/(M + 2) takes O(1) and is
+    within 1.4 ulp of a 40-digit mpmath sum (M <= 1e6) or of the exact series
+    (up to the limit M = 10**10). Relative error is at most 1e-14 for every M;
+    a member of any grid equals xi(M) bit for bit.
     """
-    return float(_series((M,))[0][0])
+    return _series((M,))[0][0]
 
 
 def entanglement_fidelity_qubit(M: int) -> float:
     """Entanglement fidelity of the M-port qubit protocol.
 
     f_e = 2^{-M-3} sum_k C(M, k) ((M-2k-1)/sqrt(k+1) + (M-2k+1)/sqrt(M-k+1))^2,
-    summed below 100 ports and 1 - 3 xi_M / 4 from 100 on. Relative error is at
-    most 1e-14 against a 50-digit mpmath sum (M <= 6401) and against 1 - 3 xi_M / 4
-    of the exact series up to M = 10**10; grid members equal scalar calls, as for xi.
+    read below 100 ports from the same literal table of exact sums as xi, and
+    1 - 3 xi_M / 4 from 100 on. Relative error is at most 1e-14 against a
+    50-digit mpmath sum (M <= 6401) and against 1 - 3 xi_M / 4 of the exact
+    series up to M = 10**10; grid members equal scalar calls, as for xi.
     """
-    return float(_series((M,))[1][0])
+    return _series((M,))[1][0]
 
 
 def delta_upper(M: int, d: int) -> float:
@@ -157,7 +180,7 @@ def _simulation_errors(Ms: Sequence[int], d: int) -> tuple[Array, str]:
     """
     d = _check_int(d, "dimension", 2)
     if d == 2:
-        return _DELTA_PER_XI * _series(Ms)[0], "closed_form"
+        return _DELTA_PER_XI * np.array(_series(Ms)[0]), "closed_form"
     Ms = [_check_int(M, "port count", 2) for M in Ms]
     return np.minimum(2.0 * d * (d - 1) / np.array(Ms, dtype=float), 2.0), "upper_bound"
 

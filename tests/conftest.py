@@ -1,4 +1,5 @@
-"""Shared strategies, the reference test channels and the dense oracle POVM.
+"""Shared strategies, the reference test channels, the dense oracle POVM and
+the exact xi sums that pbt's literal table is re-derived from.
 
 Random density matrices are kept well away from rank loss: eigenvalues are
 drawn in [0.05, 1] before normalization, so the smallest one stays orders of
@@ -6,13 +7,13 @@ magnitude above the PSD tolerance and the sub-tolerance zeroing inside
 psd_sqrt never triggers on property-test inputs.
 """
 
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 from hypothesis import strategies as st
 
 from pbtbounds.channels import KrausChannel
-from pbtbounds.linalg import DensityMatrix, _check_int, _check_interval
+from pbtbounds.linalg import Array, DensityMatrix, _check_int, _check_interval
 from pbtbounds.pbt import simulation_error
 from pbtbounds.pbt_oracle import _solve_sectors
 
@@ -58,6 +59,35 @@ def _weyl(d, a, b):
 def delta_exact_qubit(M):
     """Exact qubit simulation error delta_M = (3/2) xi_M, read off the library's one provider."""
     return simulation_error(M, 2)[0]
+
+
+def _exact_sums(ports: Array) -> tuple[Array, Array]:
+    """xi_M and f_e(M) by their binomial sums, for port counts 2 <= M < pbt._SERIES_FROM.
+
+    Both run over k = M//2 .. 0 in t = M - 2k (= 2s + 1 for xi's spins), since
+    f_e's summand is symmetric under k -> M - k, in rows of 64 entries. The
+    log-weights are cumulative sums of log C(M, k-1) / C(M, k) taken outward
+    from the centre, which keeps the rounding of the large central weights at a
+    few ulp; none is below e^-69, and a -inf after k = 0 makes every padded one 0.
+    """
+    M = ports[:, None].astype(float)
+    t = np.minimum(M % 2 + np.arange(0.0, 128.0, 2.0), M)  # k = M//2 - j, clipped at k = 0
+    tm, tp, am, ap = t - 1, t + 1, (M + 2) - t, (M + 2) + t  # am = 2(k + 1), ap = 2(M - k + 1)
+    # log C(M, k) / C(M, k + 1) = log1p((1 - t) / ((M + t) / 2)), summed outward from t = M % 2
+    log_w = np.log1p(-2 * tm / (ap - 2))
+    log_w[:, 0] = 0.0
+    log_w[np.arange(len(ports)), ports // 2 + 1] = -inf
+    w = np.exp(log_w.cumsum(axis=-1))
+    a, b = np.sqrt(am), np.sqrt(ap)
+    # xi: (t^2 - 1) t^2 / (g ((M+2) + sqrt(g))) with g = (M+2)^2 - t^2 = am ap, no cancellation
+    x_terms = tm * tp * (t * t) * w / (am * ap * ((M + 2) + a * b))
+    # f_e: ((t - 1)/sqrt(k + 1) + (t + 1)/sqrt(M - k + 1))^2 = 2 ((t - 1)/a + (t + 1)/b)^2
+    g = tm / a + tp / b
+    # the upper half mirrors the lower one, and an even M's centre t = 0 counts once
+    norm = 2 * w.sum(axis=-1) - (1 - ports % 2)
+    # 16 w = C(M, k) / 2^(M-4) in xi; f_e doubles its half and takes 2 w / 8
+    xi = np.ldexp((ports + 2) / 3, 1 - ports) + 16 * (x_terms.sum(axis=-1) / norm) / 12
+    return xi, (g * g * w).sum(axis=-1) / norm / 2
 
 
 def depolarizing(xi, d):

@@ -8,9 +8,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import delta_exact_qubit
+from conftest import _exact_sums, delta_exact_qubit
 from pbtbounds import cli, pbt, pbt_oracle
 from pbtbounds.cli import JSON_SCHEMA, OUT_DIR_ENV, main
 
@@ -25,8 +26,8 @@ HEADERS = {
 }
 
 DATA_DIR = Path(__file__).parent / "data"
-# the two passes of the xi kernel: exact sums below 100 ports, the moment series from 100 on
-_KERNELS = ("_exact_sums", "_moment_series")
+# the xi kernel's computing half: below 100 ports it reads its literal table of exact sums
+_KERNELS = ("_xi_series",)
 
 # trimmed arguments so the whole matrix stays fast
 FAST_ARGS = {
@@ -94,22 +95,19 @@ class TestCsvOutput:
             assert float(cells[3]) == pytest.approx(delta_exact_qubit(6), rel=rel)
 
     def test_xi_table_runs_each_port_count_once(self, capsys, monkeypatch):
-        # each port count goes through one kernel once: the delta column comes from the xi column in hand
-        pbt._exact_table.cache_clear()
-        rows = {}
-        for name in _KERNELS:
-            kernel = getattr(pbt, name)
-            monkeypatch.setattr(pbt, name, lambda ports, kernel=kernel, name=name:
-                                rows.setdefault(name, []).extend(ports.tolist()) or kernel(ports))
-        try:
-            code, out = _run(["--precision", "17", "xi-table", "--m-min", "60", "--m-max", "140"], capsys)
-        finally:
-            pbt._exact_table.cache_clear()
+        # the series runs once per port count from 100 on, the rows below read the exact sums,
+        # and the delta column comes from the xi column in hand
+        series, runs = pbt._xi_series, []
+        monkeypatch.setattr(pbt, "_xi_series", lambda M: runs.append(M) or series(M))
+        code, out = _run(["--precision", "17", "xi-table", "--m-min", "60", "--m-max", "140"], capsys)
         assert code == 0
-        assert rows == {"_exact_sums": list(range(2, 100)), "_moment_series": list(range(100, 141))}
+        assert runs == list(range(100, 141))
+        exact = _exact_sums(np.arange(60, 100))
         for line in out.strip().split("\n")[1:]:
-            M, _, _, delta = line.split(",")[:4]
+            M, x, fe, delta = line.split(",")[:4]
             assert float(delta) == delta_exact_qubit(int(M))
+            if int(M) < 100:
+                assert [float(x), float(fe)] == [v[int(M) - 60] for v in exact]
 
 
 class TestJsonOutput:
@@ -318,7 +316,12 @@ class TestExitCodes:
     def test_oracle_mismatch_exits_two(self, monkeypatch, capsys):
         # the closed-form xi column shifted past the 1e-9 agreement bound
         series = pbt._series
-        monkeypatch.setattr(pbt, "_series", lambda grid: series(grid) + [[1e-6], [0.0]])
+
+        def shifted(grid):
+            xis, fes = series(grid)
+            return [x + 1e-6 for x in xis], fes
+
+        monkeypatch.setattr(pbt, "_series", shifted)
         assert main(["oracle-verify", "--m-max", "3"]) == 2
         captured = capsys.readouterr()
         lines = captured.out.strip().split("\n")

@@ -1,12 +1,16 @@
 """Density-matrix primitives: construction guards, fidelity, partial trace."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import density_matrices
+from pbtbounds.applications import resolution_chois
+from pbtbounds.channels import amplitude_damping, choi
 from pbtbounds.linalg import (
     TOL_NUM,
+    TOL_PSD,
     DensityMatrix,
     _partial_trace_2,
     fidelity,
@@ -92,6 +96,42 @@ class TestMetrics:
         rho = np.diag([1.0, 1e-12]).astype(complex)
         root = psd_sqrt(rho)
         assert root[1, 1] == 0.0
+
+
+# fidelity's stated absolute accuracy; 1.2e-15 at worst on the grids below
+_FIDELITY_ABS_ERR = 1e-14
+
+
+def _fidelity_vs(a, b, ref):
+    """|fidelity(a, b) - ref| for states whose nonzero eigenvalues all lie above TOL_PSD."""
+    for state in (a, b):
+        evals = np.linalg.eigvalsh(state.matrix)
+        assert all(v > TOL_PSD or abs(v) < 1e-15 for v in evals)  # outside the zeroed band
+    return float(abs(mp.mpf(fidelity(a, b)) - ref))
+
+
+class TestFidelityAccuracy:
+    # against 40-digit mpmath evaluations of the closed forms of ad_fidelity and resolution_fidelity
+
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99])
+    def test_damping_pairs(self, p):
+        for dp in (0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            p1 = p + dp
+            if p1 > 1.0:
+                continue
+            with mp.workdps(40):
+                p0_mp, p1_mp = mp.mpf(p), mp.mpf(p1)
+                ref = (1 + mp.sqrt((1 - p0_mp) * (1 - p1_mp)) + mp.sqrt(p0_mp * p1_mp)) / 2
+                err = _fidelity_vs(choi(amplitude_damping(p)), choi(amplitude_damping(p1)), ref)
+            assert err <= _FIDELITY_ABS_ERR, (p, dp, err)
+
+    @pytest.mark.parametrize("eta", [1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0])
+    def test_resolution_pairs(self, eta):
+        for s in (0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+            with mp.workdps(40):
+                ref = 1 - mp.mpf(eta) * (1 - mp.exp(-mp.mpf(s) ** 2 / 8)) / 2
+                err = _fidelity_vs(*resolution_chois(eta, s), ref)
+            assert err <= _FIDELITY_ABS_ERR, (eta, s, err)
 
 
 @settings(max_examples=60, deadline=None)

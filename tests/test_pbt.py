@@ -1,11 +1,7 @@
 """Closed-form teleportation quantities and simulated-channel Choi matrices."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import comb, sqrt, ulp
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import delta_exact_qubit, depolarizing, isometry_channel
+from conftest import _exact_sums, delta_exact_qubit, depolarizing, isometry_channel
 from pbtbounds import pbt
 from pbtbounds.channels import amplitude_damping, choi
 from pbtbounds.discrimination import bound_B_optimized
@@ -163,20 +159,17 @@ class TestXi:
             assert xi(np.int64(M)) == xi(M)
             assert entanglement_fidelity_qubit(np.int64(M)) == entanglement_fidelity_qubit(M)
 
-    def test_values_survive_cache_clear(self):
-        Ms = (2, 7, 64, 4096, 4097, 100_000)
-        before = [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms]
-        pbt._exact_table.cache_clear()
-        assert [(xi(M), entanglement_fidelity_qubit(M)) for M in Ms] == before
-
     def test_strictly_decreasing_across_the_series_switch(self):
-        # the exact sums up to M = 99, the moment series from M = 100 on
+        # the exact sums up to M = 99, the moment series from M = 100 on; f_e = 1 - delta/2 rises
         values = [xi(M) for M in range(2, 161)]
         assert all(a > b for a, b in zip(values, values[1:]))
+        fidelities = [entanglement_fidelity_qubit(M) for M in range(2, 161)]
+        assert all(a < b for a, b in zip(fidelities, fidelities[1:]))
 
     def test_inverse_port_scaling(self):
-        for M in range(10, 61):
-            assert 0.9 < M * xi(M) < 1.05
+        # M xi_M crosses 1 between M = 9 and 10 and stays below it over the exact sums
+        assert all(M * xi(M) >= 1 for M in range(2, 10))
+        assert all(0.9 < M * xi(M) < 1 for M in range(10, 100))
 
     def test_high_precision_cross_check_large_M(self):
         for M in (49, 50, 51, 60, 80):
@@ -433,9 +426,11 @@ _PORTS = st.one_of(
 
 
 def _lone(M):
-    """(xi_M, f_e(M)) from a one-element pass of the kernel that serves M."""
-    kernel = pbt._exact_sums if M < pbt._SERIES_FROM else pbt._moment_series
-    return tuple(float(v[0]) for v in kernel(np.array([M])))
+    """(xi_M, f_e(M)) alone: a one-element pass of the exact sums below 100 ports, the series from 100 on."""
+    if M < pbt._SERIES_FROM:
+        return tuple(float(v[0]) for v in _exact_sums(np.array([M])))
+    x = pbt._xi_series(M)
+    return x, 1.0 - 0.75 * x
 
 
 @settings(max_examples=40, deadline=None)
@@ -445,7 +440,7 @@ def test_grid_members_equal_scalar_calls(grid):
     # member is the value of a lone computation and of the scalar calls bit for bit
     lone = [_lone(M) for M in grid]
     xis, fes = pbt._series(grid)
-    assert list(zip(xis.tolist(), fes.tolist())) == lone
+    assert list(zip(xis, fes)) == lone
     assert [(xi(M), entanglement_fidelity_qubit(M)) for M in grid] == lone
 
 
@@ -465,54 +460,53 @@ def test_numpy_port_counts_read_and_fill_the_int_entry(dtype):
     assert xi(dtype(100)) == ref[0]
     assert xi(100) == ref[0] and entanglement_fidelity_qubit(dtype(100)) == ref[1]
     xis, fes = pbt._series(np.array([100, 7, 100], dtype=dtype))
-    assert list(zip(xis.tolist(), fes.tolist())) == [ref, _lone(7), ref]
+    assert list(zip(xis, fes)) == [ref, _lone(7), ref]
+
+
+class _Unread:
+    def __getitem__(self, index):
+        pytest.fail(f"exact table read at index {index}")
 
 
 def _no_kernel_pass(monkeypatch):
-    for name in ("_exact_sums", "_moment_series"):
-        monkeypatch.setattr(pbt, name, lambda ports: pytest.fail(f"kernel pass for M = {ports}"))
+    # neither the series nor the table of exact sums is reached
+    monkeypatch.setattr(pbt, "_xi_series", lambda M: pytest.fail(f"series run for M = {M}"))
+    monkeypatch.setattr(pbt, "_EXACT", _Unread())
 
 
-def test_grid_call_returns_the_callers_array():
+def test_grid_call_returns_the_callers_lists():
     grid = [5, 64, 2900, 100_000, 64]
-    got = pbt._series(grid)
-    ref = got.copy()
-    got[:] = 0.0  # the array is the caller's, not the table's
-    assert pbt._series(grid).tolist() == ref.tolist()
-    assert [(xi(M), entanglement_fidelity_qubit(M)) for M in grid] == list(zip(*ref.tolist()))
-    assert pbt.pbt_choi_qubit(5).matrix[1, 1] == ref[0, 0] / 4
+    xis, fes = pbt._series(grid)
+    ref = xis.copy(), fes.copy()
+    xis[:], fes[:] = [0.0] * len(grid), [0.0] * len(grid)  # the lists are the caller's
+    assert pbt._series(grid) == ref
+    assert [(xi(M), entanglement_fidelity_qubit(M)) for M in grid] == list(zip(*ref))
+    assert pbt.pbt_choi_qubit(5).matrix[1, 1] == ref[0][0] / 4
 
 
-def test_upper_bound_grid_runs_no_kernel_pass_and_builds_no_table(monkeypatch):
-    pbt._exact_table.cache_clear()
+def test_upper_bound_grid_runs_no_kernel_pass(monkeypatch):
     _no_kernel_pass(monkeypatch)
     report = bound_B_optimized(2000, 3, 1.0 - 1e-10)
     assert report.params["delta_provenance"] == "upper_bound"
-    assert pbt._exact_table.cache_info().currsize == 0
 
 
-def test_exact_table_columns_equal_lone_exact_sums():
-    table = pbt._exact_table()
-    assert table.shape == (2, 98)
-    for M in range(2, 100):
-        assert table[:, M - 2].tolist() == [float(v[0]) for v in pbt._exact_sums(np.array([M]))]
+def test_exact_table_is_the_exact_sums_bit_for_bit():
+    # the literal below 100 ports, re-derived in one pass and in one pass per port count
+    ports = np.arange(2, pbt._SERIES_FROM)
+    assert list(pbt._EXACT) == list(zip(*(v.tolist() for v in _exact_sums(ports))))
+    assert list(pbt._EXACT) == [_lone(int(M)) for M in ports]
 
 
-def test_series_from_100_on_builds_no_table():
-    pbt._exact_table.cache_clear()
-    pbt._series([100, 4097, 10**10])
-    xi(100_000)
-    assert pbt._exact_table.cache_info().currsize == 0
-
-
-def test_import_builds_no_table():
-    # the table is built on first use: importing the package (as a launcher does) costs nothing
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = "import pbtbounds, pbtbounds.cli; print(pbtbounds.pbt._exact_table.cache_info().currsize)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0 and proc.stdout == "0\n"
+@settings(max_examples=200, deadline=None)
+@given(_PORTS)
+def test_xi_series_equals_a_numpy_horner(M):
+    # Python float + and * round as numpy's elementwise ufuncs do on a one-element array
+    x, ref = 1.0 / (np.array([M]) + 2.0), 0.0
+    for c in reversed(pbt._XI_SERIES):
+        ref = (ref + c) * x
+    assert pbt._xi_series(M) == float(ref[0])
+    if M >= pbt._SERIES_FROM:
+        assert pbt._series([M]) == ([float(ref[0])], [float(1.0 - 0.75 * ref[0])])
 
 
 _LIMIT_ERROR = r"^port count {} must be an integer in \[2, 10000000000\]$"
@@ -538,9 +532,9 @@ def test_port_count_at_the_limit_passes_the_check(monkeypatch):
     class Reached(Exception):
         pass
 
-    def reached(ports):
-        raise Reached(ports)
+    def reached(M):
+        raise Reached(M)
 
-    monkeypatch.setattr(pbt, "_moment_series", reached)
+    monkeypatch.setattr(pbt, "_xi_series", reached)
     with pytest.raises(Reached):
         xi(10**10)
