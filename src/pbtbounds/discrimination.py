@@ -89,9 +89,9 @@ def bound_B_optimized(n: int, d: int, F: float) -> BoundReport:
     F = _check_interval(F, "fidelity", 0, 1)
     grid = default_m_grid(n, d)
     deltas, provenance = _simulation_errors(grid, d)
-    raw, fuchs, i = _scan(n, _log_f(F), np.array(grid, dtype=float), deltas)
+    raw, fuchs, i = _scan(n, _log_f(F), np.array(grid, dtype=float), np.array(deltas))
     params = {
-        "n": n, "d": d, "M": grid[i], "estimator": "fuchs", "delta": float(deltas[i]),
+        "n": n, "d": d, "M": grid[i], "estimator": "fuchs", "delta": deltas[i],
         "delta_provenance": provenance, "d_estimate": float(fuchs[i]),
     }
     return _report("bound_B_optimized", float(raw[i]), params)

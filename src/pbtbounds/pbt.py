@@ -169,20 +169,21 @@ def simulation_error(M: int, d: int) -> tuple[float, str]:
     diamond distance exceeds: a one-member read of the grid lookup _simulation_errors.
     """
     deltas, provenance = _simulation_errors((M,), d)
-    return float(deltas[0]), provenance
+    return deltas[0], provenance
 
 
-def _simulation_errors(Ms: Sequence[int], d: int) -> tuple[Array, str]:
-    """simulation_error over a grid of port counts: one array of delta_M, one provenance.
+def _simulation_errors(Ms: Sequence[int], d: int) -> tuple[list[float], str]:
+    """simulation_error over a grid of port counts: a list of delta_M, one provenance.
 
-    The dimension is checked before the port counts. For d > 2 the port counts
-    are only checked: xi_M is not computed.
+    The dimension, then every port count, is checked before any delta is formed;
+    for d > 2 xi_M is not computed. No numpy call is made.
     """
     d = _check_int(d, "dimension", 2)
     if d == 2:
-        return _DELTA_PER_XI * np.array(_series(Ms)[0]), "closed_form"
+        return [_DELTA_PER_XI * x for x in _series(Ms)[0]], "closed_form"
     Ms = [_check_int(M, "port count", 2) for M in Ms]
-    return np.minimum(2.0 * d * (d - 1) / np.array(Ms, dtype=float), 2.0), "upper_bound"
+    bound = 2.0 * d * (d - 1)
+    return [min(bound / M, 2.0) for M in Ms], "upper_bound"
 
 
 def _depolarizing_choi_matrix(x: float) -> Array:

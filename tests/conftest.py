@@ -1,5 +1,6 @@
-"""Shared strategies, the reference test channels, the dense oracle POVM and
-the exact xi sums that pbt's literal table is re-derived from.
+"""Shared strategies, the reference test channels, the oracle's all-port pair
+reference and dense POVM, and the exact xi sums that pbt's literal table is
+re-derived from.
 
 Random density matrices are kept well away from rank loss: eigenvalues are
 drawn in [0.05, 1] before normalization, so the smallest one stays orders of
@@ -108,19 +109,36 @@ def depolarizing(xi, d):
     return KrausChannel(tuple(ops), d, d)
 
 
+def _sector_pairs(states: Array, M: int) -> tuple[Array, Array]:
+    """Every port's labels and pairs in one sector, as positions within it.
+
+    Returns the (M, n) labels 2C + A_i of the sector's states (row i-1 for
+    port i) and the (2, M, p) pairs: row i-1 of pairs[0] holds the states with
+    C = A_i = 0, the same row of pairs[1] their partners C = A_i = 1 with the
+    same rest. A partner is its state plus a fixed offset, so both lists ascend
+    together; and every port pairs the same number p of states in a sector,
+    since the charge is symmetric in the ports. The library reads port 1 off
+    the sector layout; this all-port count is the reference it is tested against.
+    """
+    labels = 2 * (states >> M) + (states >> np.arange(M - 1, -1, -1)[:, None] & 1)
+    return labels, np.nonzero(np.equal.outer((0, 3), labels))[2].reshape(2, M, -1)
+
+
 def oracle_blocks(M):
     """(states, (M, n, n) stack of the Pi^i blocks) of every sector, formed from the solve.
 
-    Pi^i = 2^{-M} (S V_i)(S V_i)^T + K K^T / M on each solved sector; the flip
-    partner of sector k, M + 1 - k, holds the reversed blocks on the flipped states.
+    Pi^i = 2^{-M} (S V_i)(S V_i)^T + K K^T / M on each solved sector, with port
+    i's pairs from _sector_pairs; the flip partner of sector k, M + 1 - k, holds
+    the reversed blocks on the flipped states.
     """
     out = []
-    for k, (sector, _, pairs, S, K) in enumerate(_solve_sectors(M)):
+    for k, (states, S, K) in enumerate(_solve_sectors(M)):
+        pairs = _sector_pairs(states, M)[1]
         SV = S[:, pairs].sum(axis=1).transpose(1, 0, 2)
         P = SV @ SV.transpose(0, 2, 1) / 2**M + K @ K.T / M
-        out.append((sector, P))
+        out.append((states, P))
         if 2 * k != M + 1:  # at odd M the middle sector is its own partner
-            out.append((2 ** (M + 1) - 1 - sector[::-1], P[:, ::-1, ::-1]))
+            out.append((2 ** (M + 1) - 1 - states[::-1], P[:, ::-1, ::-1]))
     return out
 
 

@@ -6,17 +6,10 @@ from math import comb, sqrt
 import numpy as np
 import pytest
 
-from conftest import oracle_blocks, oracle_povm
+from conftest import _sector_pairs, oracle_blocks, oracle_povm
 from pbtbounds import cli, pbt_oracle
 from pbtbounds.pbt import pbt_choi_qubit, xi
-from pbtbounds.pbt_oracle import (
-    M_MAX,
-    _isotropic_fit,
-    _sector_pairs,
-    _solve_sectors,
-    oracle_channel_choi,
-    oracle_xi,
-)
+from pbtbounds.pbt_oracle import M_MAX, _isotropic_fit, _solve_sectors, oracle_channel_choi, oracle_xi
 
 # Explicit full-state route: the reference for the library's POVM partial trace.
 # It measures the resource state itself and contracts indices by hand, so a
@@ -146,7 +139,7 @@ class TestEnsemble:
         # sigma and rho feed both builds, so a fault in either shows up in Pi
         got, want = oracle_povm(M), _dense_ensemble(M)[2]
         assert got.shape == want.shape
-        assert all(S.dtype == K.dtype == np.float64 for *_, S, K in _solve_sectors(M))
+        assert all(S.dtype == K.dtype == np.float64 for _, S, K in _solve_sectors(M))
         assert np.abs(got - want).max() < 1e-12
 
     def test_readout_holds_one_sector_at_a_time(self):
@@ -194,9 +187,10 @@ class TestEnsemble:
         # and pairs gives k's reversed, with label l turned into 3 - l, which is
         # what lets the readout add k's sums at flipped labels
         charge = _charge(M)
-        for k, (sector, labels, pairs, S, _) in enumerate(_solve_sectors(M)):
-            partner = 2 ** (M + 1) - 1 - sector[::-1]
+        for k, (states, S, _) in enumerate(_solve_sectors(M)):
+            partner = 2 ** (M + 1) - 1 - states[::-1]
             assert np.array_equal(partner, np.flatnonzero(charge == M - k))
+            labels, pairs = _sector_pairs(states, M)
             partner_labels, partner_pairs = _sector_pairs(partner, M)
             assert np.array_equal(partner_labels, 3 - labels[:, ::-1])
             assert np.array_equal(partner_pairs, len(S) - 1 - pairs[::-1, :, ::-1])
@@ -214,20 +208,18 @@ class TestEnsemble:
         # the solve checks only the identity sum; the layout it yields is a
         # function of M, pinned here once per M
         charge, seen = _charge(M), []
-        for k, (sector, labels, pairs, S, K) in enumerate(_solve_sectors(M)):
-            n = sector.size
-            assert np.all(np.diff(sector) > 0)
-            assert np.all(charge[sector] == k - 1)
-            assert labels.shape == (M, n) and pairs.shape[:2] == (2, M)
+        for k, (states, S, K) in enumerate(_solve_sectors(M)):
+            n = states.size
             assert S.shape == (n, n) and K.shape == (n, 1)  # one zero eigenvalue per sector
-            seen += [sector, 2 ** (M + 1) - 1 - sector]
+            seen += [states, 2 ** (M + 1) - 1 - states]
         assert np.array_equal(np.unique(np.concatenate(seen)), np.arange(2 ** (M + 1)))
 
     @pytest.mark.parametrize("M", range(2, 11))
     def test_every_port_reads_like_port_one(self, M):
         # the readout reads port 1 of each solved sector and counts it M times;
         # here every port's diagonal bins and corner are read off its dense block
-        for _, labels, pairs, S, K in _solve_sectors(M):
+        for states, S, K in _solve_sectors(M):
+            labels, pairs = _sector_pairs(states, M)
             read = []
             for i in range(M):
                 x0, x1 = pairs[:, i]
@@ -292,16 +284,21 @@ class TestChoiExtraction:
         explicit = sum(_port_outputs(M))
         assert np.abs(explicit - oracle_channel_choi(M).matrix).max() < 1e-12
 
-    @pytest.mark.parametrize("M", [3, 8])
-    def test_readout_takes_labels_and_pairs_from_the_build(self, monkeypatch, M):
-        # the solve counts the pairs of its solved sectors only; the readout
-        # counts none of its own
-        sector_pairs, counted = pbt_oracle._sector_pairs, []
-        monkeypatch.setattr(
-            pbt_oracle, "_sector_pairs", lambda s, M: counted.append(s.size) or sector_pairs(s, M)
-        )
-        oracle_channel_choi(M)
-        assert len(counted) == (M + 3) // 2
+    @pytest.mark.parametrize("M", range(2, 11))
+    def test_readout_slices_are_port_one_labels_and_pairs(self, M):
+        # the readout takes port 1's labels and pairs from the sector layout:
+        # p states below 2^{M-1} and n0 below 2^M cut each solved sector into
+        # the label slices, and [0, p) pairs with [n - p, n); here they are
+        # checked against the all-port reference count
+        charge = _charge(M)
+        for k, (states, _, _) in enumerate(_solve_sectors(M)):
+            assert np.array_equal(states, np.flatnonzero(charge == k - 1))
+            labels, pairs = _sector_pairs(states, M)
+            n, p, n0 = len(states), states.searchsorted(2 ** (M - 1)), states.searchsorted(2**M)
+            assert p == (comb(M - 1, k - 1) if k else 0)  # C(M-1, q)
+            assert np.array_equal(pairs[:, 0], [np.arange(p), np.arange(n - p, n)])
+            slices = np.repeat(np.arange(4), np.diff([0, p, n0, n - p, n]))
+            assert np.array_equal(slices, labels[0])
 
     def test_anisotropic_choi_rejected(self, monkeypatch):
         # one solve's kernel basis gains a column on its C = 1 states, which
@@ -310,10 +307,10 @@ class TestChoiExtraction:
         solve = pbt_oracle._solve_sectors
 
         def perturbed(M):
-            for k, (sector, labels, pairs, S, K) in enumerate(solve(M)):
+            for k, (states, S, K) in enumerate(solve(M)):
                 if k == 2:
-                    K = np.hstack([K, 0.03 * (sector[:, None] >> M)])
-                yield sector, labels, pairs, S, K
+                    K = np.hstack([K, 0.03 * (states[:, None] >> M)])
+                yield states, S, K
 
         monkeypatch.setattr(pbt_oracle, "_solve_sectors", perturbed)
         with pytest.raises(RuntimeError, match="not isotropic"):

@@ -270,6 +270,13 @@ class TestSimulationError:
         # 2d(d-1)/M = 3 at M = 4 exceeds any diamond distance, so it is capped at 2
         assert simulation_error(4, 3) == (2.0, "upper_bound")
 
+    def test_makes_no_numpy_call(self, monkeypatch):
+        # a scalar delta (every keyrate row) is a Python float with no numpy round trip
+        want = [(1.5 * xi(M), "closed_form") for M in (10, 1000)] + [(1.2, "upper_bound")]
+        monkeypatch.setattr(pbt, "np", None)
+        got = [simulation_error(10, 2), simulation_error(1000, 2), simulation_error(10, 3)]
+        assert got == want and all(type(delta) is float for delta, _ in got)
+
     def test_rejects_invalid_inputs(self):
         with pytest.raises(ValueError):
             simulation_error(1, 2)
