@@ -39,6 +39,9 @@ _DESCRIPTION = "Tables of adaptive discrimination bounds via teleportation simul
 # 2-vCPU host); a range inside [2, pbt._MAX_PORTS] could otherwise ask for 10**10,
 # and --steps for a grid of any length.
 _MAX_ROWS = 10**5
+# Most rows x distinct --m-list ports an ad-sweep table takes: every list of up to 10 port
+# counts still runs at the row limit, while 10**5 rows of 2*10**4 ports would ask for ~10**10 cells.
+_MAX_SWEEP_CELLS = 10**6
 
 
 def _fmt(value, precision: int):
@@ -112,6 +115,12 @@ def cmd_oracle_verify(args: argparse.Namespace) -> list[dict]:
 
 def cmd_ad_sweep(args: argparse.Namespace) -> list[dict]:
     p_grid = _grid(args.p_min, args.p_max, args.steps)
+    ports = len(set(args.m_list))  # before the sweep checks any port count
+    if len(p_grid) * ports > _MAX_SWEEP_CELLS:
+        raise ValueError(
+            f"ad-sweep takes at most {_MAX_SWEEP_CELLS} rows x --m-list port counts, "
+            f"got {len(p_grid)} x {ports}"
+        )
     return disc.ad_discrimination_sweep(p_grid, args.dp, args.n, args.m_list)
 
 
@@ -197,6 +206,7 @@ class _Command(NamedTuple):
     help: str
     table: Callable[[argparse.Namespace], list[dict]]
     arguments: tuple[tuple[str, dict], ...]  # (flag, add_argument keywords)
+    description: str | None = None  # the subcommand's --help text above its options
 
 
 _OPTIONS = (
@@ -220,7 +230,10 @@ _COMMANDS = {
         ("--dp", dict(type=float, default=0.01)),
         ("--n", dict(type=int, default=20)),
         ("--m-list", dict(type=_int_list, default=[10, 100, 1000])),
-    )),
+    ), "Lower bounds on the error of discriminating damping p from p + dp over n uses. The "
+       "lb_* columns bound every adaptive protocol. The block_lower and block_upper columns "
+       "bound only the non-adaptive block protocol that sends half of a maximally entangled "
+       "state through each use; other inputs can do better."),
     "resolution": _Command("single-photon resolution bounds", cmd_resolution, (
         ("--eta", dict(type=float, default=0.01)),
         ("--s-min", dict(type=float, default=0.0)),
@@ -281,7 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _with_arguments(parser, _OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
     for name, command in _COMMANDS.items():
-        sub.add_parser(name, help=command.help, arguments=command.arguments)
+        sub.add_parser(
+            name, help=command.help, description=command.description, arguments=command.arguments
+        )
     return parser
 
 

@@ -14,7 +14,7 @@ from math import exp, inf, log, sqrt
 import numpy as np
 
 from .linalg import Array, _check_int, _check_interval
-from .pbt import _ad_factor, _series, _simulation_errors
+from .pbt import _MAX_PORTS, _ad_factor, _series, _simulation_errors
 
 
 @dataclass(frozen=True)
@@ -42,20 +42,16 @@ def _log_f(F: float) -> float:
     return log(F) if F > 0.0 else -inf
 
 
-def _pow(log_f, k) -> Array:
-    """F**k = exp(k log F) entrywise, in the log domain so exponents reach n^2
-    scale without underflow; F = 1 gives 1 and F = 0 gives 0.
+def _fuchs(log_f, k) -> Array:
+    """sqrt(1 - F^k) entrywise, with F^k = exp(k log F) in the log domain so exponents
+    reach n^2 scale without underflow; F = 1 gives 0 and F = 0 gives 1.
 
-    Each entry goes through math.exp, which rounds as the scalar formula does;
+    Each power goes through math.exp, which rounds as the scalar formula does;
     np.exp need not, and the tables are pinned to that rounding.
     """
     x = np.multiply(k, log_f)
-    return np.fromiter(map(exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _fuchs(log_f, k) -> Array:
-    """sqrt(1 - F^k) entrywise (see _pow)."""
-    return np.sqrt(np.maximum(1.0 - _pow(log_f, k), 0.0))
+    powers = np.fromiter(map(exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.sqrt(np.maximum(1.0 - powers, 0.0))
 
 
 def _scan(n: int, log_f, Ms: Array, deltas: Array) -> tuple[Array, Array, Array]:
@@ -131,6 +127,7 @@ def ad_discrimination_sweep(
     M_grid with the pair-average simulation error delta_bar <= delta_M of the
     two channels, and the bound maximized over M on a grid holding M_grid; argmax_M is
     the first maximiser of the unclamped bound, named even when every bound clamps to 0.
+    Each lb_* cell is clamped to [0, 0.5] as _report clamps a bound.
 
     The block columns bound only the protocol that sends one half of a
     maximally entangled state through each use and measures the n Choi copies;
@@ -142,35 +139,27 @@ def ad_discrimination_sweep(
     if not p_grid or not M_grid:
         raise ValueError("parameter grids must be nonempty")
     dp = _check_interval(dp, "damping separation", 0, inf)
-    grid = [*M_grid, *default_m_grid(n, 2)]
-    xi_of = dict(zip(grid, _series(grid)[0]))  # the kernel checks M_grid first, in order
-    opt_grid = sorted(map(int, xi_of))
-    xis = np.array([xi_of[M] for M in opt_grid])
+    ports = [_check_int(M, "port count", 2, _MAX_PORTS) for M in M_grid]  # as the kernel checks
+    opt_grid = sorted({*ports, *default_m_grid(n, 2)})
+    column = {M: j for j, M in enumerate(opt_grid)}
+    xis = np.array(_series(opt_grid)[0])
     p_grid = [_check_interval(p, "damping probability", 0, 1) for p in p_grid]
-    log_f, factors = [], []
+    log_f, f0, f1 = [], [], []
     for p in p_grid:
-        p0, p1 = p, p + dp
-        if p1 > 1.0:
-            raise ValueError(f"p + dp = {p1} exceeds 1")
-        F = ad_fidelity(p0, p1)
-        _check_interval(F, "fidelity", 0, 1)
-        log_f.append(_log_f(F))
-        factors.append((_ad_factor(p0), _ad_factor(p1)))
-    # every row at once: one (p, M) array per quantity
-    log_f = np.array(log_f)
-    f0, f1 = np.array(factors).T[:, :, None]
-    delta_bar = (xis * f0 + xis * f1) / 2.0
-    raw, _, best = _scan(n, log_f[:, None], np.array(opt_grid, dtype=float), delta_bar)
-    values = np.clip(raw, 0.0, 0.5)
-    block_lower = ((1.0 - _fuchs(log_f, 2.0 * n)) / 2.0).tolist()
-    block_upper = (_pow(log_f, n) / 2.0).tolist()
-    fixed = [opt_grid.index(M) for M in M_grid]
+        if p + dp > 1.0:
+            raise ValueError(f"p + dp = {p + dp} exceeds 1")
+        log_f.append(_log_f(_check_interval(ad_fidelity(p, p + dp), "fidelity", 0, 1)))
+        f0.append(_ad_factor(p))
+        f1.append(_ad_factor(p + dp))
+    log_f_col = np.array(log_f)[:, None]
+    delta_bar = (xis * np.array(f0)[:, None] + xis * np.array(f1)[:, None]) / 2.0
+    raw, _, best = _scan(n, log_f_col, np.array(opt_grid, dtype=float), delta_bar)
+    block_lower = ((1.0 - _fuchs(log_f_col[:, 0], 2.0 * n)) / 2.0).tolist()
     rows = []
-    for p, lower, upper, row_values, j_max in zip(p_grid, block_lower, block_upper, values.tolist(), best):
-        row = {"p": p, "block_lower": lower, "block_upper": upper}
-        for M, j in zip(M_grid, fixed):
-            row[f"lb_M{M}"] = row_values[j]
-        row["lb_optimized"] = row_values[j_max]
-        row["argmax_M"] = opt_grid[j_max]
+    for p, lf, lower, bounds, j in zip(p_grid, log_f, block_lower, raw, best.tolist()):
+        bounds = bounds.tolist()  # one row of the (p, M) table
+        row = {"p": p, "block_lower": lower, "block_upper": exp(n * lf) / 2.0}
+        row.update({f"lb_M{M}": min(max(bounds[column[M]], 0.0), 0.5) for M in ports})
+        row.update(lb_optimized=min(max(bounds[j], 0.0), 0.5), argmax_M=opt_grid[j])
         rows.append(row)
     return rows

@@ -235,6 +235,26 @@ class TestExitCodes:
         assert code == 0 and len(out.splitlines()) == 1001
         assert peak < 20 * 2**20
 
+    def test_ad_sweep_above_the_cell_limit_exits_one(self, capsys, monkeypatch):
+        # 1001 rows x 1000 distinct port counts: rejected before the sweep runs, so before
+        # the port count 1 in the list is checked and before any table is formed
+        monkeypatch.setattr(cli.disc, "ad_discrimination_sweep", lambda *a: pytest.fail("sweep reached"))
+        m_list = ",".join(map(str, [1, *range(3, 1002), 10]))
+        assert main(["ad-sweep", "--steps", "1001", "--m-list", m_list]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ad-sweep takes at most 1000000 rows x --m-list port counts, got 1001 x 1000\n"
+        )
+
+    def test_ad_sweep_at_the_cell_limit_runs(self, capsys, monkeypatch):
+        # the limit counts distinct port counts: a repeated one adds no column
+        monkeypatch.setattr(cli, "_MAX_SWEEP_CELLS", 6)
+        code, out = _run(["ad-sweep", "--steps", "3", "--m-list", "10,100,10"], capsys)
+        assert code == 0 and len(out.splitlines()) == 4
+        assert main(["ad-sweep", "--steps", "4", "--m-list", "10,100,10"]) == 1
+        assert main(["ad-sweep", "--steps", "3", "--m-list", "10,100,1000"]) == 1
+
     @pytest.mark.parametrize("command", ["ad-sweep", "resolution", "illumination", "metrology"])
     def test_steps_above_the_row_limit_exits_one(self, command, capsys, monkeypatch):
         # rejected before the grid is built: 10**9 points would exhaust memory
@@ -337,7 +357,8 @@ def _eager_parser() -> argparse.ArgumentParser:
     cli._with_arguments(parser, cli._OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in cli._COMMANDS.items():
-        cli._with_arguments(sub.add_parser(name, help=command.help), command.arguments)
+        subparser = sub.add_parser(name, help=command.help, description=command.description)
+        cli._with_arguments(subparser, command.arguments)
     return parser
 
 

@@ -1,7 +1,7 @@
 """Universal discrimination bound, its one port-count scan, and the damping-pair sweep."""
 
 import re
-from math import exp, sqrt
+from math import exp, log, sqrt
 
 import numpy as np
 import pytest
@@ -292,6 +292,11 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"^damping separation -0\.01 outside \[0, inf\]$"):
             ad_discrimination_sweep([0.8], -0.01, 20, [10])
 
+    @pytest.mark.parametrize("p_grid", [[2.0], [0.995], [float("nan")]])
+    def test_bad_port_count_is_named_before_a_bad_p(self, p_grid):
+        with pytest.raises(ValueError, match=r"^port count 1 must be an integer in \[2, 10000000000\]$"):
+            ad_discrimination_sweep(p_grid, 0.01, 20, [10, 1])
+
     @pytest.mark.parametrize("n", [0, 0.4, 1.5, True])
     def test_rejects_bad_count(self, n):
         with pytest.raises(ValueError, match=_count_error("n", n)):
@@ -308,21 +313,36 @@ class TestSweep:
 @given(
     st.floats(0.0, 1.0, allow_nan=False, width=32),
     st.floats(0.0, 0.5, allow_nan=False, width=32),
-    st.integers(1, 3000),
+    # small n keeps the fixed-M cells off the clamp at 0
+    st.integers(1, 30) | st.integers(1, 3000),
+    # a repeated port count and numpy-integer port counts too
+    st.sampled_from([[10, 100], [160, 10, 160], [np.int64(7), 1000, np.uint8(200), 7]]),
 )
-@example(0.8, 0.01, 2000)
-def test_sweep_optimum_is_the_scan_over_its_grid(p, dp, n):
-    # lb_optimized is the largest clamped bound over the sweep's grid, and argmax_M
-    # the first port count with the largest unclamped bound, from scalar calls
+@example(0.8, 0.01, 2000, [10, 100])
+@example(1.0, 0.0, 5, [10, 100])  # delta_bar = 0 and F = 1: every bound is 1/2
+def test_sweep_cells_match_a_math_reference(p, dp, n, M_grid):
+    # every cell of a row from its formula in math floats: the block window from F^n and
+    # F^{2n}, each lb_M and lb_optimized clamped as _report clamps, and argmax_M the first
+    # port count of the sweep's grid with the largest unclamped bound
     assume(p + dp <= 1.0)
-    M_grid = [10, 100]
     row = ad_discrimination_sweep([p], dp, n, M_grid)[0]
-    log_f = _log_f(ad_fidelity(p, p + dp))
-    best_M, best_raw = None, -np.inf
-    for M in sorted(set(default_m_grid(n, 2)) | set(M_grid)):
+    log_f = log((1.0 + sqrt((1.0 - p) * (1.0 - (p + dp))) + sqrt(p * (p + dp))) / 2.0)
+
+    def raw(M):
         delta_bar = (delta_ad(M, p) + delta_ad(M, p + dp)) / 2
-        raw = (1 - n * delta_bar - float(_fuchs(log_f, 2.0 * n * M))) / 2
-        if raw > best_raw:
-            best_M, best_raw = M, raw
-    assert row["lb_optimized"] == min(max(best_raw, 0.0), 0.5)
-    assert row["argmax_M"] == best_M
+        return (1.0 - n * delta_bar - sqrt(max(1.0 - exp(2.0 * n * M * log_f), 0.0))) / 2.0
+
+    def clamp(x):
+        return min(max(x, 0.0), 0.5)
+
+    raws = {M: raw(M) for M in sorted({*map(int, M_grid), *default_m_grid(n, 2)})}
+    best_M = max(raws, key=raws.get)  # the first maximiser: the keys ascend
+    expected = {
+        "p": p,
+        "block_lower": (1.0 - sqrt(max(1.0 - exp(2.0 * n * log_f), 0.0))) / 2.0,
+        "block_upper": exp(n * log_f) / 2.0,
+    }
+    expected.update({f"lb_M{M}": clamp(raws[int(M)]) for M in M_grid})
+    expected.update(lb_optimized=clamp(raws[best_M]), argmax_M=best_M)
+    # repr pins the bits, the column order and the Python types of every cell
+    assert repr(row) == repr(expected)
