@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import exp, inf, log, sqrt
 
-import numpy as np
-
-from .linalg import Array, _check_int, _check_interval
+from .linalg import _check_int, _check_interval
 from .pbt import _MAX_PORTS, _ad_factor, _series, _simulation_errors
 
 
@@ -42,25 +40,19 @@ def _log_f(F: float) -> float:
     return log(F) if F > 0.0 else -inf
 
 
-def _fuchs(log_f, k) -> Array:
-    """sqrt(1 - F^k) entrywise, with F^k = exp(k log F) in the log domain so exponents
-    reach n^2 scale without underflow; F = 1 gives 0 and F = 0 gives 1.
-
-    Each power goes through math.exp, which rounds as the scalar formula does;
-    np.exp need not, and the tables are pinned to that rounding.
-    """
-    x = np.multiply(k, log_f)
-    powers = np.fromiter(map(exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return np.sqrt(np.maximum(1.0 - powers, 0.0))
+def _fuchs(log_f: float, k: float) -> float:
+    """sqrt(1 - F^k) for log_f = _log_f(F), with F^k = exp(k log F) in the log domain
+    so exponents reach n^2 scale without underflow; F = 1 gives 0 and F = 0 gives 1."""
+    x = 1.0 - exp(k * log_f)
+    return sqrt(x) if x > 0.0 else 0.0
 
 
-def _scan(n: int, log_f, Ms: Array, deltas: Array) -> tuple[Array, Array, Array]:
-    """Unclamped (1 - n*delta_M - D_M)/2 for port counts Ms (as floats) with simulation
-    errors deltas, the Fuchs terms D_M = sqrt(1 - F^{2nM}), and each row's first
-    maximiser of the unclamped bound; log_f = _log_f(F) broadcasts against both."""
-    fuchs = _fuchs(log_f, 2.0 * n * Ms)
-    raw = (1.0 - n * deltas - fuchs) / 2.0
-    return raw, fuchs, raw.argmax(axis=-1)
+def _scan(n: int, log_f: float, Ms: list[int], deltas: list[float]) -> tuple[list[float], int]:
+    """Unclamped (1 - n*delta_M - D_M)/2 for each port count M of Ms, with the matching
+    simulation error delta_M of deltas and D_M = _fuchs(log_f, 2nM), as a list, and the
+    index of its first maximum."""
+    raw = [(1.0 - n * delta - _fuchs(log_f, 2.0 * n * M)) / 2.0 for M, delta in zip(Ms, deltas)]
+    return raw, raw.index(max(raw))
 
 
 def default_m_grid(n: int, d: int) -> list[int]:
@@ -76,21 +68,22 @@ def bound_B_optimized(n: int, d: int, F: float) -> BoundReport:
     """(1 - n*delta - D)/2 maximized over default_m_grid(n, d), D = sqrt(1 - F^{2nM}).
 
     delta comes from pbt.simulation_error (exact for d=2, the capped
-    2d(d-1)/M bound otherwise). params record the winning M (the first maximiser
-    of the unclamped bound, named even when every bound clamps to 0), its delta
-    and D_M ('d_estimate'), the estimator and the delta provenance.
+    2d(d-1)/M bound otherwise). params record the winning M (the first maximiser of
+    the unclamped bound, named even when every bound clamps to 0), its delta and D_M
+    ('d_estimate', _fuchs at that M), the estimator and the delta provenance.
     """
     n = _check_int(n, "count n =", 1)
     d = _check_int(d, "dimension", 2)
     F = _check_interval(F, "fidelity", 0, 1)
     grid = default_m_grid(n, d)
     deltas, provenance = _simulation_errors(grid, d)
-    raw, fuchs, i = _scan(n, _log_f(F), np.array(grid, dtype=float), np.array(deltas))
+    log_f = _log_f(F)
+    raw, i = _scan(n, log_f, grid, deltas)
     params = {
         "n": n, "d": d, "M": grid[i], "estimator": "fuchs", "delta": deltas[i],
-        "delta_provenance": provenance, "d_estimate": float(fuchs[i]),
+        "delta_provenance": provenance, "d_estimate": _fuchs(log_f, 2.0 * n * grid[i]),
     }
-    return _report("bound_B_optimized", float(raw[i]), params)
+    return _report("bound_B_optimized", raw[i], params)
 
 
 def bound_B_near_identity(n: int, d: int, epsilon: float) -> BoundReport:
@@ -127,7 +120,8 @@ def ad_discrimination_sweep(
     M_grid with the pair-average simulation error delta_bar <= delta_M of the
     two channels, and the bound maximized over M on a grid holding M_grid; argmax_M is
     the first maximiser of the unclamped bound, named even when every bound clamps to 0.
-    Each lb_* cell is clamped to [0, 0.5] as _report clamps a bound.
+    Each lb_* cell is clamped to [0, 0.5] as _report clamps a bound. Every input is
+    checked before any row is formed; each row is then one _scan over the shared xi_M.
 
     The block columns bound only the protocol that sends one half of a
     maximally entangled state through each use and measures the n Choi copies;
@@ -142,23 +136,19 @@ def ad_discrimination_sweep(
     ports = [_check_int(M, "port count", 2, _MAX_PORTS) for M in M_grid]  # as the kernel checks
     opt_grid = sorted({*ports, *default_m_grid(n, 2)})
     column = {M: j for j, M in enumerate(opt_grid)}
-    xis = np.array(_series(opt_grid)[0])
+    xis = _series(opt_grid)[0]
     p_grid = [_check_interval(p, "damping probability", 0, 1) for p in p_grid]
-    log_f, f0, f1 = [], [], []
+    log_fs = []
     for p in p_grid:
         if p + dp > 1.0:
             raise ValueError(f"p + dp = {p + dp} exceeds 1")
-        log_f.append(_log_f(_check_interval(ad_fidelity(p, p + dp), "fidelity", 0, 1)))
-        f0.append(_ad_factor(p))
-        f1.append(_ad_factor(p + dp))
-    log_f_col = np.array(log_f)[:, None]
-    delta_bar = (xis * np.array(f0)[:, None] + xis * np.array(f1)[:, None]) / 2.0
-    raw, _, best = _scan(n, log_f_col, np.array(opt_grid, dtype=float), delta_bar)
-    block_lower = ((1.0 - _fuchs(log_f_col[:, 0], 2.0 * n)) / 2.0).tolist()
+        log_fs.append(_log_f(_check_interval(ad_fidelity(p, p + dp), "fidelity", 0, 1)))
     rows = []
-    for p, lf, lower, bounds, j in zip(p_grid, log_f, block_lower, raw, best.tolist()):
-        bounds = bounds.tolist()  # one row of the (p, M) table
-        row = {"p": p, "block_lower": lower, "block_upper": exp(n * lf) / 2.0}
+    for p, log_f in zip(p_grid, log_fs):
+        f0, f1 = _ad_factor(p), _ad_factor(p + dp)
+        bounds, j = _scan(n, log_f, opt_grid, [(x * f0 + x * f1) / 2.0 for x in xis])
+        lower, upper = (1.0 - _fuchs(log_f, 2.0 * n)) / 2.0, exp(n * log_f) / 2.0
+        row = {"p": p, "block_lower": lower, "block_upper": upper}
         row.update({f"lb_M{M}": min(max(bounds[column[M]], 0.0), 0.5) for M in ports})
         row.update(lb_optimized=min(max(bounds[j], 0.0), 0.5), argmax_M=opt_grid[j])
         rows.append(row)

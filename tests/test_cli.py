@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import _exact_sums, delta_exact_qubit
-from pbtbounds import cli, pbt, pbt_oracle
+from pbtbounds import applications, channels, cli, discrimination, pbt, pbt_oracle
 from pbtbounds.cli import JSON_SCHEMA, OUT_DIR_ENV, main
 
 HEADERS = {
@@ -465,6 +465,26 @@ class TestGoldenTables:
         ],
     )
     def test_matches_committed_table(self, argv, name, capsys):
+        code, out = _run(argv, capsys)
+        assert code == 0
+        assert out.encode() == (DATA_DIR / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["ad-sweep"], "ad_sweep_default.csv"),
+            (["xi-table", "--m-max", "64"], "xi_table_m64.csv"),
+            (["keyrate"], "keyrate_default.csv"),
+            (["keyrate", "--d", "3"], "keyrate_d3.csv"),
+        ],
+    )
+    def test_closed_form_table_makes_no_numpy_call(self, argv, name, capsys, monkeypatch):
+        # these tables are formed in Python floats: discrimination does not import numpy, and
+        # the other modules they pass through run with np = None; linalg keeps numpy, as
+        # _check_int accepts numpy integers
+        assert not hasattr(discrimination, "np")
+        for module in (cli, pbt, applications, channels, discrimination):
+            monkeypatch.setattr(module, "np", None, raising=False)
         code, out = _run(argv, capsys)
         assert code == 0
         assert out.encode() == (DATA_DIR / name).read_bytes()

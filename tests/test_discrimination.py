@@ -30,7 +30,7 @@ def _count_error(name, value) -> str:
 
 def _fuchs_term(F, n, M):
     """The Fuchs term D_M = sqrt(1 - F^{2nM}) the scan forms at one port count."""
-    return float(_scan(n, _log_f(F), np.array([float(M)]), np.array([0.0]))[1][0])
+    return _fuchs(_log_f(F), 2.0 * n * M)
 
 
 class TestEstimators:
@@ -50,13 +50,14 @@ class TestEstimators:
         assert _fuchs_term(0.5, 1000, 1000) == 1.0
 
     def test_scan_returns_bounds_terms_and_first_maximiser(self):
-        # rows broadcast against the port counts; a tie goes to the smaller M
-        Ms, deltas = np.array([2.0, 4.0, 8.0]), np.array([0.5, 0.1, 0.1])
-        raw, fuchs, best = _scan(1, np.array([[0.0], [_log_f(0.9)]]), Ms, deltas)
-        assert raw.shape == fuchs.shape == (2, 3)
-        assert fuchs[0].tolist() == [0.0, 0.0, 0.0]
-        assert raw.tolist() == ((1.0 - deltas - fuchs) / 2.0).tolist()
-        assert best.tolist() == [1, 1]
+        # one scan per fidelity; at F = 1 every Fuchs term is 0, and the tie of M = 4 and
+        # M = 8 goes to the smaller M
+        Ms, deltas = [2, 4, 8], [0.5, 0.1, 0.1]
+        assert [_fuchs_term(1.0, 1, M) for M in Ms] == [0.0, 0.0, 0.0]
+        assert _scan(1, _log_f(1.0), Ms, deltas) == ([0.25, 0.45, 0.45], 1)
+        raw, best = _scan(1, _log_f(0.9), Ms, deltas)
+        assert raw == [(1.0 - delta - _fuchs_term(0.9, 1, M)) / 2.0 for M, delta in zip(Ms, deltas)]
+        assert best == 1
 
 
 class TestBoundBOptimized:
@@ -93,7 +94,7 @@ class TestBoundBOptimized:
         for n, d, F in ((2, 2, 0.99), (5, 3, 0.9999), (1, 4, 0.5), (2000, 2, ad_fidelity(0.8, 0.81))):
             params = bound_B_optimized(n, d, F=F).params
             assert params["estimator"] == "fuchs"
-            assert params["d_estimate"] == float(_fuchs(_log_f(F), 2.0 * n * params["M"]))
+            assert params["d_estimate"] == _fuchs(_log_f(F), 2.0 * n * params["M"])
 
     def test_clamped_report_names_the_unclamped_maximiser(self):
         # every bound of 0.8 vs 0.81 at n = 2000 clamps to 0; M is still the raw argmax
@@ -171,7 +172,7 @@ def test_optimized_monotone_in_fidelity(n, d, F0, F1):
 def test_bound_monotone_in_delta_and_estimate(n, M, delta, F, bump):
     # the estimate D = sqrt(1 - F^{2nM}) grows as F falls
     def bound(delta, F):
-        return _report("B", float(_scan(n, _log_f(F), np.array([M]), np.array([delta]))[0][0]), {})
+        return _report("B", _scan(n, _log_f(F), [M], [delta])[0][0], {})
 
     base = bound(delta, F)
     assert base.params["raw"] == (1.0 - n * delta - _fuchs_term(F, n, M)) / 2.0
